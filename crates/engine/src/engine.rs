@@ -23,7 +23,7 @@ use crate::ast::{ColumnRef, FilterPredicate, Query};
 use crate::cache::{fingerprint, shard_index, EstimationCache};
 use crate::error::{EngineError, Result};
 use crate::ladder::{
-    record_stats_use, uniform_filter_selectivity, EstimatePolicy, EstimateRung, StatsUse,
+    uniform_filter_selectivity, EngineObs, EstimatePolicy, EstimateRung, StatsUse,
     UNIFORM_BAND_SELECTIVITY, UNIFORM_DISTINCT_DEFAULT,
 };
 use crate::parser;
@@ -60,6 +60,10 @@ pub struct Engine {
     policy: EstimatePolicy,
     /// Memoised whole-query estimates, versioned by catalog epoch.
     cache: EstimationCache,
+    /// The recorder the estimation path's rung counters and trace
+    /// events go to: the process-global one unless built
+    /// [`Engine::with_recorder`].
+    pub(crate) obs: EngineObs,
 }
 
 /// Everything the estimator resolved about one column: the surviving
@@ -134,9 +138,22 @@ pub(crate) fn filter_target(f: &FilterPredicate) -> String {
 }
 
 impl Engine {
-    /// Creates an empty engine.
+    /// Creates an empty engine recording to the process-global
+    /// [`obs::Recorder`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty engine whose `estimate_rung_total{rung=…}`
+    /// counters and estimation trace events (`cache_probe`,
+    /// `rung_chosen`, `stats_resolved`) go to `recorder` and obey its
+    /// trace gate alone. Spans, the cache counters and quality records
+    /// stay process-global.
+    pub fn with_recorder(recorder: Arc<obs::Recorder>) -> Self {
+        Self {
+            obs: EngineObs::new(recorder),
+            ..Self::default()
+        }
     }
 
     /// Registers (or replaces) a relation under its own name.
@@ -602,9 +619,9 @@ impl Engine {
     /// join-order search resolves the same columns many times per
     /// greedy round while scoring candidates it then discards. The
     /// `estimate_rung_total{rung=…}` counters are bumped by
-    /// [`record_stats_use`] exactly once per lookup that contributes to
-    /// a returned estimate, so degraded answers stay visible in
-    /// `histctl metrics` without search-evaluation inflation.
+    /// [`EngineObs::record_stats_use`] exactly once per lookup that
+    /// contributes to a returned estimate, so degraded answers stay
+    /// visible in `histctl metrics` without search-evaluation inflation.
     ///
     pub(crate) fn resolve_stats<'a>(
         &'a self,
@@ -638,8 +655,9 @@ impl Engine {
         // Flight-recorder provenance: which histogram class and rung
         // this resolution consulted. Guarded so the extra catalog
         // lookups (spec, staleness) happen only while tracing.
-        if obs::trace::active() {
-            obs::trace::stats_resolved(
+        let recorder = self.obs.recorder();
+        if recorder.trace_active() {
+            recorder.stats_resolved(
                 &format!("{}.{}", c.table, c.column),
                 snap.spec_of(&key).map(|s| s.name()),
                 rung.name(),
@@ -719,11 +737,14 @@ impl Engine {
             let _span = obs::span("est_cache_lookup");
             self.cache.get(fp, snap.epoch())
         };
-        obs::trace::cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
+        self.obs
+            .recorder()
+            .cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
         if let Some(hit) = hit {
             let mut sources = Vec::with_capacity(hit.sources.len());
             for s in hit.sources.iter() {
-                record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
+                self.obs
+                    .record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
             }
             return Ok((hit.estimate, sources));
         }
@@ -759,14 +780,17 @@ impl Engine {
             let _span = obs::span("est_cache_lookup");
             self.cache.get(fp, snap.epoch())
         };
-        obs::trace::cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
+        self.obs
+            .recorder()
+            .cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
         let lookup_elapsed = t_lookup.elapsed();
         let cache_hit = hit.is_some();
         let t_answer = Instant::now();
         let (estimate, sources) = if let Some(hit) = hit {
             let mut sources = Vec::with_capacity(hit.sources.len());
             for s in hit.sources.iter() {
-                record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
+                self.obs
+                    .record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
             }
             (hit.estimate, sources)
         } else {
@@ -820,13 +844,15 @@ impl Engine {
         for f in &query.filters {
             let (sel, rung, tuned) = self.filter_selectivity(snap, f)?;
             estimate *= sel;
-            record_stats_use(&mut sources, filter_target(f), rung, tuned);
+            self.obs
+                .record_stats_use(&mut sources, filter_target(f), rung, tuned);
         }
         // Join selectivities.
         for j in &query.joins {
             let (sel, rung, tuned) = self.join_selectivity(snap, j)?;
             estimate *= sel;
-            record_stats_use(&mut sources, j.to_string(), rung, tuned);
+            self.obs
+                .record_stats_use(&mut sources, j.to_string(), rung, tuned);
         }
         Ok((estimate, sources))
     }

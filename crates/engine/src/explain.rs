@@ -11,7 +11,7 @@ use crate::ast::{FilterPredicate, JoinPredicate, Query};
 use crate::cache::fingerprint;
 use crate::engine::{filter_target, Engine};
 use crate::error::{EngineError, Result};
-use crate::ladder::{record_stats_use, EstimateRung, StatsUse};
+use crate::ladder::{EstimateRung, StatsUse};
 use crate::provenance::{ProvenanceRecord, StageTiming};
 use relstore::join::materialize_join;
 use relstore::{CatalogSnapshot, Relation};
@@ -204,7 +204,8 @@ impl Engine {
             for f in filters {
                 let (sel, rung, tuned) = self.filter_selectivity(&snap, f)?;
                 est *= sel;
-                record_stats_use(&mut stats_sources, filter_target(f), rung, tuned);
+                self.obs
+                    .record_stats_use(&mut stats_sources, filter_target(f), rung, tuned);
             }
             steps.push(PlanStep {
                 description: if filters.is_empty() {
@@ -271,7 +272,8 @@ impl Engine {
         let sp = obs::span("join");
         let (mut acc_est, first_rung, first_tuned) =
             self.join_step_estimate(&snap, j, est_rows[&j.left.table], est_rows[&j.right.table])?;
-        record_stats_use(&mut stats_sources, j.to_string(), first_rung, first_tuned);
+        self.obs
+            .record_stats_use(&mut stats_sources, j.to_string(), first_rung, first_tuned);
         let mut acc = Self::materialize_join_step(
             &bases[&j.left.table],
             &j.left.to_string(),
@@ -301,7 +303,8 @@ impl Engine {
                 // pair-overlap selectivity scaled back up by one side's
                 // cardinality (the other side is already fixed per row).
                 let (sel, rung, tuned) = self.join_selectivity(&snap, j)?;
-                record_stats_use(&mut stats_sources, j.to_string(), rung, tuned);
+                self.obs
+                    .record_stats_use(&mut stats_sources, j.to_string(), rung, tuned);
                 acc_est *= sel * self.relation(&j.left.table)?.num_rows() as f64;
                 acc = match j.band {
                     None => {
@@ -364,7 +367,8 @@ impl Engine {
             )?;
             acc_est = step_est;
             joined.insert(new_side.table.clone());
-            record_stats_use(&mut stats_sources, j.to_string(), step_rung, step_tuned);
+            self.obs
+                .record_stats_use(&mut stats_sources, j.to_string(), step_rung, step_tuned);
             steps.push(PlanStep {
                 description: format!("join {j}"),
                 estimated: acc_est,

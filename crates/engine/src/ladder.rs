@@ -15,13 +15,13 @@
 //! | `trivial` | value dictionary only | `rows / |domain|` — the paper's trivial histogram (a single bucket) |
 //! | `uniform` | nothing | System R's uniform-independence magic constants (`1/10` for equality, `1/4` for ranges, `1/max(V₁,V₂)` with `V` defaulting to 10 for joins) |
 //!
-//! Which rung answered is recorded per lookup in the
+//! Which rung answered is recorded per lookup in the engine recorder's
 //! `estimate_rung_total{rung=…}` counters and named in
 //! `explain_analyze` output, so a silently degraded estimate is always
 //! visible.
 
 use crate::ast::FilterOp;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which rung of the degradation ladder answered a statistics lookup.
 /// Ordered from best to worst; [`EstimateRung::worse`] combines the
@@ -99,46 +99,73 @@ pub struct StatsUse {
     pub tuned: bool,
 }
 
-/// Cached `estimate_rung_total{rung=…}` counter handle for one rung.
+/// An engine's handle on its [`obs::Recorder`]: the recorder (whose
+/// trace gate the estimation path's events obey) and its four
+/// `estimate_rung_total{rung=…}` counters, resolved once per engine.
 /// Formatting the labeled name and probing the registry both allocate;
-/// the estimation hot path (and especially cache-hit replay) goes
-/// through here instead, paying only an atomic increment after the
-/// first use.
-fn rung_counter(rung: EstimateRung) -> &'static Arc<obs::Counter> {
-    static SPEC: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    static END_BIASED: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    static TRIVIAL: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    static UNIFORM: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    let cell = match rung {
-        EstimateRung::Spec => &SPEC,
-        EstimateRung::EndBiased => &END_BIASED,
-        EstimateRung::Trivial => &TRIVIAL,
-        EstimateRung::Uniform => &UNIFORM,
-    };
-    cell.get_or_init(|| obs::counter(&obs::labeled("estimate_rung_total", "rung", rung.name())))
+/// the estimation hot path (and especially cache-hit replay) pays only
+/// an atomic increment.
+#[derive(Debug)]
+pub(crate) struct EngineObs {
+    recorder: Arc<obs::Recorder>,
+    /// Indexed by `EstimateRung as usize`, i.e. ladder order.
+    rung_counters: [Arc<obs::Counter>; 4],
 }
 
-/// Records one *answered* statistics lookup: bumps its
-/// `estimate_rung_total{rung=…}` counter and appends it to `sources`.
-/// Every lookup that contributes to a returned estimate goes through
-/// here and nothing else does — `explain_analyze`'s join-order search
-/// evaluates and discards candidate selectivities each greedy round,
-/// and those must not inflate the ladder metrics. Cache hits replay
-/// their memoised lookups through here too, so the rung counters move
-/// identically hit vs. miss.
-pub(crate) fn record_stats_use(
-    sources: &mut Vec<StatsUse>,
-    target: String,
-    rung: EstimateRung,
-    tuned: bool,
-) {
-    rung_counter(rung).inc();
-    obs::trace::rung_chosen(&target, rung.name());
-    sources.push(StatsUse {
-        target,
-        rung,
-        tuned,
-    });
+impl EngineObs {
+    pub(crate) fn new(recorder: Arc<obs::Recorder>) -> Self {
+        let rung_counters = [
+            EstimateRung::Spec,
+            EstimateRung::EndBiased,
+            EstimateRung::Trivial,
+            EstimateRung::Uniform,
+        ]
+        .map(|rung| {
+            recorder
+                .registry()
+                .counter(&obs::labeled("estimate_rung_total", "rung", rung.name()))
+        });
+        Self {
+            recorder,
+            rung_counters,
+        }
+    }
+
+    pub(crate) fn recorder(&self) -> &Arc<obs::Recorder> {
+        &self.recorder
+    }
+
+    /// Records one *answered* statistics lookup: bumps its
+    /// `estimate_rung_total{rung=…}` counter and appends it to `sources`.
+    /// Every lookup that contributes to a returned estimate goes through
+    /// here and nothing else does — `explain_analyze`'s join-order search
+    /// evaluates and discards candidate selectivities each greedy round,
+    /// and those must not inflate the ladder metrics. Cache hits replay
+    /// their memoised lookups through here too, so the rung counters move
+    /// identically hit vs. miss.
+    pub(crate) fn record_stats_use(
+        &self,
+        sources: &mut Vec<StatsUse>,
+        target: String,
+        rung: EstimateRung,
+        tuned: bool,
+    ) {
+        self.rung_counters[rung as usize].inc();
+        self.recorder.rung_chosen(&target, rung.name());
+        sources.push(StatsUse {
+            target,
+            rung,
+            tuned,
+        });
+    }
+}
+
+impl Default for EngineObs {
+    /// The process-global recorder, so `histctl metrics`/`trace` see the
+    /// engine's rung counters and events.
+    fn default() -> Self {
+        Self::new(Arc::clone(obs::Recorder::global()))
+    }
 }
 
 /// System R's textbook default selectivities, used on the `uniform`

@@ -6,7 +6,7 @@
 //!   and structured key-value events. Span closes feed both the
 //!   metrics registry (a latency histogram per span path) and a
 //!   lock-free ring buffer of recent events.
-//! * [`metrics`] — a global registry of named counters, gauges, and
+//! * [`metrics`] — a registry of named counters, gauges, and
 //!   log-bucketed latency histograms. The latency buckets are powers
 //!   of two — the same "store an average per bucket, accept bounded
 //!   within-bucket error" trade the paper makes for frequency
@@ -21,6 +21,9 @@
 //!   probes, ladder rungs, statistics resolution, WAL and daemon
 //!   activity) with causal span ids and a global sequence, exportable
 //!   as JSON-lines or a Chrome `trace_event` file.
+//! * [`recorder`] — the [`Recorder`] handle that owns a metrics registry
+//!   and a trace gate. The process-global recorder is the default; a
+//!   component observed in isolation records through a private one.
 //!
 //! Everything funnels into [`export::prometheus`] (text exposition)
 //! and [`export::json`] (driven through the `serde` Serialize/
@@ -42,12 +45,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub mod export;
 pub mod metrics;
 pub mod quality;
+pub mod recorder;
 pub mod ring;
 pub mod span;
 pub mod trace;
 
 pub use metrics::{counter, gauge, histogram, labeled, Counter, Gauge, LatencyHistogram};
 pub use quality::{record_quality, QualitySnapshot};
+pub use recorder::Recorder;
 pub use span::{span, SpanGuard};
 
 /// Recording is ON by default; disabling reduces every instrumentation

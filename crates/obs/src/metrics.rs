@@ -1,5 +1,6 @@
-//! The global metrics registry: named counters, gauges, and
-//! log-bucketed latency histograms.
+//! The metrics registry: named counters, gauges, and log-bucketed
+//! latency histograms. Each [`crate::Recorder`] owns one; the free
+//! functions here act on the process-global recorder's.
 //!
 //! Metric names follow `<subsystem>_<what>_<unit-or-total>` with
 //! optional Prometheus-style labels baked into the registry key
@@ -14,7 +15,7 @@
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A monotonically increasing counter.
 #[derive(Default, Debug)]
@@ -275,10 +276,9 @@ impl Registry {
     }
 }
 
-/// The process-global registry.
+/// The process-global recorder's registry.
 pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
+    crate::Recorder::global().registry()
 }
 
 /// Gets or creates a global counter.

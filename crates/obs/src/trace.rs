@@ -25,14 +25,19 @@
 //! threads (the engine's parallel ANALYZE, bench workers) don't lose
 //! their tail or leak their ring.
 //!
-//! Tracing rides on the same master switch as the rest of `obs` — with
-//! [`crate::set_enabled`]`(false)` every emission is one relaxed load
-//! and a branch — plus its own [`set_trace_enabled`] flag (on by
-//! default: this is a flight recorder, not a debugger).
+//! Tracing rides on the same process-wide master switch as the rest of
+//! `obs` — with [`crate::set_enabled`]`(false)` every emission is one
+//! relaxed load and a branch — plus the emitting [`Recorder`]'s own trace
+//! gate (on by default: this is a flight recorder, not a debugger). The
+//! free helpers and [`set_trace_enabled`] use the process-global
+//! recorder; the estimation-path helpers are [`Recorder`] methods, so an
+//! engine on a private recorder is gated by that recorder alone. Events
+//! of every recorder land in the emitting thread's ring:
+//! [`drain`] takes every thread's, [`drain_thread`] only the caller's.
 //!
 //! Only this module constructs [`TraceKind`] values: other crates call
-//! the typed helpers ([`cache_probe`], [`rung_chosen`], [`wal_append`],
-//! …), which keeps the event schema in one place. CI greps for
+//! the typed helpers ([`Recorder::cache_probe`], [`Recorder::rung_chosen`],
+//! [`wal_append`], …), which keeps the event schema in one place. CI greps for
 //! `TraceKind::` outside `crates/obs` to hold that line.
 //!
 //! Exporters: [`jsonl`] (the `histctl-trace-v1` schema, one event per
@@ -40,11 +45,12 @@
 //! that `chrome://tracing` / Perfetto load directly).
 
 use crate::export::JsonWriter;
+use crate::Recorder;
 use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
 use serde::ser::Serializer;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -226,28 +232,19 @@ impl TraceEvent {
     }
 }
 
-/// Tracing is ON by default: the whole point of a flight recorder is
-/// that it was running when the interesting thing happened.
-static TRACE_ON: AtomicBool = AtomicBool::new(true);
-
-/// Whether the flight recorder itself is enabled (it additionally
-/// requires [`crate::enabled`], the obs master switch).
-pub fn trace_enabled() -> bool {
-    TRACE_ON.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the flight recorder without touching the rest
-/// of `obs`.
+/// Opens or closes the process-global recorder's trace gate without
+/// touching the rest of `obs` or any private [`Recorder`].
 pub fn set_trace_enabled(on: bool) {
-    TRACE_ON.store(on, Ordering::Relaxed);
+    Recorder::global().set_trace_enabled(on);
 }
 
-/// Whether an emission right now would record: the obs master switch
-/// AND the trace flag. Callers with non-trivial argument preparation
-/// (snapshot lookups, formatting) should check this first.
+/// Whether an emission through the process-global recorder would record
+/// right now: the obs master switch AND its trace gate. Callers with
+/// non-trivial argument preparation (snapshot lookups, formatting)
+/// should check this first.
 #[inline(always)]
 pub fn active() -> bool {
-    crate::enabled() && TRACE_ON.load(Ordering::Relaxed)
+    crate::enabled() && Recorder::global().trace_enabled()
 }
 
 /// Global event sequence; `fetch_add` hands every event a unique,
@@ -413,40 +410,51 @@ pub(crate) fn close_span(id: u64, path: &str, elapsed_ns: u64) {
     );
 }
 
-/// Records an estimation-cache probe (hit or miss) with the shard the
-/// fingerprint selected and the snapshot epoch the probe was keyed by.
-pub fn cache_probe(hit: bool, shard: u64, epoch: u64) {
-    if !active() {
-        return;
+/// The estimation-path emissions, gated by the emitting recorder's own
+/// trace gate (and the obs master switch): an engine emits through the
+/// recorder it holds.
+impl Recorder {
+    /// Records an estimation-cache probe (hit or miss) with the shard the
+    /// fingerprint selected and the snapshot epoch the probe was keyed by.
+    pub fn cache_probe(&self, hit: bool, shard: u64, epoch: u64) {
+        if !self.trace_active() {
+            return;
+        }
+        record(TraceKind::CacheProbe { hit, shard, epoch });
     }
-    record(TraceKind::CacheProbe { hit, shard, epoch });
-}
 
-/// Records which ladder rung answered a statistics lookup that
-/// contributes to a returned estimate.
-pub fn rung_chosen(target: &str, rung: &'static str) {
-    if !active() {
-        return;
+    /// Records which ladder rung answered a statistics lookup that
+    /// contributes to a returned estimate.
+    pub fn rung_chosen(&self, target: &str, rung: &'static str) {
+        if !self.trace_active() {
+            return;
+        }
+        record(TraceKind::Rung {
+            target: target.to_string(),
+            rung,
+        });
     }
-    record(TraceKind::Rung {
-        target: target.to_string(),
-        rung,
-    });
-}
 
-/// Records one statistics resolution: the histogram class consulted
-/// (or `None` when the column has no stored histogram), the rung the
-/// surviving metadata supports, and the column's staleness.
-pub fn stats_resolved(key: &str, class: Option<&str>, rung: &'static str, staleness: Option<u64>) {
-    if !active() {
-        return;
+    /// Records one statistics resolution: the histogram class consulted
+    /// (or `None` when the column has no stored histogram), the rung the
+    /// surviving metadata supports, and the column's staleness.
+    pub fn stats_resolved(
+        &self,
+        key: &str,
+        class: Option<&str>,
+        rung: &'static str,
+        staleness: Option<u64>,
+    ) {
+        if !self.trace_active() {
+            return;
+        }
+        record(TraceKind::StatsResolved {
+            key: key.to_string(),
+            class: class.unwrap_or("none").to_string(),
+            rung,
+            staleness: staleness.unwrap_or(u64::MAX),
+        });
     }
-    record(TraceKind::StatsResolved {
-        key: key.to_string(),
-        class: class.unwrap_or("none").to_string(),
-        rung,
-        staleness: staleness.unwrap_or(u64::MAX),
-    });
 }
 
 /// Records a WAL journal append.
@@ -570,6 +578,19 @@ pub fn drain() -> Vec<TraceEvent> {
     }
     out.sort_by_key(|e| e.seq);
     out
+}
+
+/// Drains the calling thread's ring only, oldest first. It neither sees
+/// nor takes events recorded on any other thread, so a caller whose
+/// emissions all happen on its own thread reads back exactly those.
+pub fn drain_thread() -> Vec<TraceEvent> {
+    TLS_RING.with(|t| {
+        let mut out = Vec::with_capacity(t.0.ring.len());
+        while let Some(e) = t.0.ring.pop() {
+            out.push(e);
+        }
+        out
+    })
 }
 
 // --- Exporters --------------------------------------------------------
@@ -798,8 +819,8 @@ mod tests {
     fn events_carry_a_strictly_increasing_global_sequence() {
         let _guard = crate::test_lock();
         drain();
-        cache_probe(true, 3, 7);
-        rung_chosen("t.a", "spec");
+        Recorder::global().cache_probe(true, 3, 7);
+        Recorder::global().rung_chosen("t.a", "spec");
         wal_append(2, 128);
         let events = drain();
         assert!(events.len() >= 3);
@@ -827,7 +848,7 @@ mod tests {
         let outer = crate::span("trace_outer");
         {
             let inner = crate::span("trace_inner");
-            cache_probe(false, 0, 1);
+            Recorder::global().cache_probe(false, 0, 1);
             drop(inner);
         }
         drop(outer);
@@ -869,7 +890,7 @@ mod tests {
         let _guard = crate::test_lock();
         drain();
         set_trace_enabled(false);
-        cache_probe(true, 0, 0);
+        Recorder::global().cache_probe(true, 0, 0);
         let sp = crate::span("trace_disabled_span");
         drop(sp);
         set_trace_enabled(true);
@@ -901,10 +922,72 @@ mod tests {
     }
 
     #[test]
+    fn thread_drain_takes_only_the_calling_threads_events() {
+        let _guard = crate::test_lock();
+        drain();
+        let recorded = std::sync::Barrier::new(2);
+        let drained = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                daemon_sweep(77);
+                recorded.wait();
+                drained.wait();
+            });
+            daemon_sweep(88);
+            recorded.wait();
+            let mine = drain_thread();
+            drained.wait();
+            assert!(mine
+                .iter()
+                .any(|e| matches!(&e.kind, TraceKind::DaemonSweep { tick: 88 })));
+            assert!(
+                !mine
+                    .iter()
+                    .any(|e| matches!(&e.kind, TraceKind::DaemonSweep { tick: 77 })),
+                "another thread's event leaked into the thread drain"
+            );
+        });
+        // The sibling's event was left in place for the global drain.
+        assert!(drain()
+            .iter()
+            .any(|e| matches!(&e.kind, TraceKind::DaemonSweep { tick: 77 })));
+    }
+
+    #[test]
+    fn a_private_recorder_is_gated_by_its_own_flag_only() {
+        let _guard = crate::test_lock();
+        drain_thread();
+        let private = Recorder::new();
+        private.set_trace_enabled(false);
+        private.cache_probe(true, 1, 1);
+        Recorder::global().cache_probe(false, 2, 2);
+        set_trace_enabled(false);
+        private.set_trace_enabled(true);
+        private.rung_chosen("t.private", "trivial");
+        Recorder::global().stats_resolved("t.global", None, "uniform", None);
+        set_trace_enabled(true);
+        let kinds: Vec<TraceKind> = drain_thread().into_iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                TraceKind::CacheProbe {
+                    hit: false,
+                    shard: 2,
+                    epoch: 2
+                },
+                TraceKind::Rung {
+                    target: "t.private".into(),
+                    rung: "trivial"
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn jsonl_has_header_then_one_object_per_line() {
         let _guard = crate::test_lock();
         drain();
-        stats_resolved("t.a", Some("v_opt_end_biased"), "spec", Some(0));
+        Recorder::global().stats_resolved("t.a", Some("v_opt_end_biased"), "spec", Some(0));
         drift("col:t.a", 3.5, 2.0);
         let events = drain();
         let text = jsonl(&events);
@@ -929,7 +1012,7 @@ mod tests {
         let _guard = crate::test_lock();
         drain();
         let sp = crate::span("trace_chrome_span");
-        cache_probe(false, 1, 2);
+        Recorder::global().cache_probe(false, 1, 2);
         drop(sp);
         let events = drain();
         let text = chrome(&events);

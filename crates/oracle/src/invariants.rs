@@ -31,6 +31,7 @@ use relstore::catalog::StatKey;
 use relstore::codec::{decode_catalog, encode_catalog};
 use relstore::generate::relation_from_frequencies;
 use relstore::{Catalog, StoredHistogram};
+use std::sync::Arc;
 use vopt_hist::{builders, BuilderSpec, Histogram, MatrixHistogram, RoundingMode};
 
 /// Cap on recorded failure messages per check, keeping reports bounded
@@ -822,9 +823,14 @@ pub fn check_cache_transparent(w: &Workload) -> CheckReport {
 /// check compares across recorder states, in ladder order.
 const RUNG_NAMES: [&str; 4] = ["spec", "end_biased", "trivial", "uniform"];
 
-/// Current values of the four per-rung counters.
-fn rung_totals() -> [u64; 4] {
-    RUNG_NAMES.map(|r| obs::counter(&obs::labeled("estimate_rung_total", "rung", r)).get())
+/// Current values of the four per-rung counters in `recorder`.
+fn rung_totals(recorder: &obs::Recorder) -> [u64; 4] {
+    RUNG_NAMES.map(|r| {
+        recorder
+            .registry()
+            .counter(&obs::labeled("estimate_rung_total", "rung", r))
+            .get()
+    })
 }
 
 /// The observability claim behind the flight recorder: tracing only
@@ -837,6 +843,12 @@ fn rung_totals() -> [u64; 4] {
 /// path records *no* cache/rung/stats events, and with tracing on it
 /// actually records them (a recorder that silently recorded nothing
 /// would pass any transparency test).
+///
+/// Each case's engine records to a private [`obs::Recorder`]: the check
+/// toggles only that recorder's trace gate, reads only its rung
+/// counters, and reads back only its own thread's events
+/// ([`obs::trace::drain_thread`]), so engines and trace toggles on other
+/// threads of the same process cannot move what it compares.
 pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
     use obs::trace::TraceKind;
 
@@ -873,7 +885,6 @@ pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
         }
     }
 
-    let was_on = obs::trace::trace_enabled();
     for (idx, set) in w.medium_sets.iter().enumerate() {
         let freqs = set.freqs.as_slice();
         let (values, nz) = nonzero_domain(freqs);
@@ -885,7 +896,8 @@ pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
             cases += 1;
             let spec = BuilderSpec::VOptEndBiased(beta);
             let case = format!("{} β={beta}", set.name);
-            let mut engine = engine::Engine::new();
+            let recorder = Arc::new(obs::Recorder::new());
+            let mut engine = engine::Engine::with_recorder(Arc::clone(&recorder));
             let mut registered = true;
             for (name, sub) in [("l", 2 * idx as u64), ("r", 2 * idx as u64 + 1)] {
                 match relation_from_frequencies(name, "a", &values, &freq_set, w.subseed(sub)) {
@@ -919,23 +931,23 @@ pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
                 }
             };
 
-            // Phase 1: recorder off. No early exits between the toggle
-            // and the re-enable below, so a failing case can never leave
-            // the recorder disabled for the rest of the run.
-            obs::trace::drain();
-            obs::trace::set_trace_enabled(false);
-            let rungs_at_start = rung_totals();
+            // Phase 1: recorder off. Only this case's private recorder
+            // is switched off; the estimates run on this thread, so the
+            // thread drain holds exactly what they recorded.
+            obs::trace::drain_thread();
+            recorder.set_trace_enabled(false);
+            let rungs_at_start = rung_totals(&recorder);
             let untraced: Vec<Option<(Estimate, Estimate)>> = queries
                 .iter()
                 .map(|q| both_paths(&engine, q, &case, "untraced", &mut failures))
                 .collect();
-            let untraced_deltas: Vec<u64> = rung_totals()
+            let untraced_deltas: Vec<u64> = rung_totals(&recorder)
                 .iter()
                 .zip(rungs_at_start)
                 .map(|(&after, before)| after - before)
                 .collect();
-            obs::trace::set_trace_enabled(true);
-            let silent = obs::trace::drain();
+            recorder.set_trace_enabled(true);
+            let silent = obs::trace::drain_thread();
             if silent.iter().any(|e| {
                 matches!(
                     &e.kind,
@@ -952,17 +964,17 @@ pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
 
             // Phase 2: recorder on. The cached calls are same-epoch hits
             // now, so hit-replay is compared against phase 1's miss-fill.
-            let rungs_at_start = rung_totals();
+            let rungs_at_start = rung_totals(&recorder);
             let traced: Vec<Option<(Estimate, Estimate)>> = queries
                 .iter()
                 .map(|q| both_paths(&engine, q, &case, "traced", &mut failures))
                 .collect();
-            let traced_deltas: Vec<u64> = rung_totals()
+            let traced_deltas: Vec<u64> = rung_totals(&recorder)
                 .iter()
                 .zip(rungs_at_start)
                 .map(|(&after, before)| after - before)
                 .collect();
-            let events = obs::trace::drain();
+            let events = obs::trace::drain_thread();
             if !events
                 .iter()
                 .any(|e| matches!(&e.kind, TraceKind::CacheProbe { .. }))
@@ -1019,7 +1031,6 @@ pub fn check_tracing_transparent(w: &Workload) -> CheckReport {
             }
         }
     }
-    obs::trace::set_trace_enabled(was_on);
     CheckReport::from_failures("tracing_transparent", cases, failures)
 }
 

@@ -2,10 +2,12 @@
 //! property that disabling any check or failpoint is a detected failure,
 //! not a silent coverage gap.
 
+use oracle::invariants::{check_cache_transparent, check_tracing_transparent};
 use oracle::{
     reference_snapshot, run, verify_snapshot, Failpoint, FailpointStore, Report, Tier, Workload,
     EXPECTED_CHECKS, EXPECTED_FAULTS,
 };
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 #[test]
 fn selftest_passes_and_reports_full_coverage() {
@@ -115,4 +117,43 @@ fn failpoints_fire_exactly_as_armed() {
     assert!(verify_snapshot(corrupted).is_err());
     // The store itself is untouched: a clean snapshot still verifies.
     assert!(verify_snapshot(store.snapshot()).is_ok());
+}
+
+#[test]
+fn tracing_transparent_ignores_a_sibling_thread_estimating_and_flipping_the_global_gate() {
+    // The check must observe only the engine it builds. A sibling thread
+    // keeps default engines estimating (bumping the process-global rung
+    // counters and emitting events through the global recorder) and
+    // flips the global trace gate while the check runs.
+    let workload = Workload::generate(1, Tier::Quick);
+    let stop = AtomicBool::new(false);
+    let sibling_rounds = AtomicU64::new(0);
+    let (reports, sibling_reports) = std::thread::scope(|s| {
+        let sibling = s.spawn(|| {
+            let mut reports = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let round = sibling_rounds.fetch_add(1, Ordering::Relaxed);
+                obs::trace::set_trace_enabled(round % 2 == 1);
+                reports.push(check_cache_transparent(&workload));
+            }
+            obs::trace::set_trace_enabled(true);
+            reports
+        });
+        // Start only once the sibling is mid-round, so the two overlap.
+        while sibling_rounds.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let reports: Vec<_> = (0..5)
+            .map(|_| check_tracing_transparent(&workload))
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        (reports, sibling.join().expect("sibling thread panicked"))
+    });
+    for report in &reports {
+        assert!(report.cases > 0, "tracing_transparent verified zero cases");
+        assert!(report.passed, "failures: {:?}", report.failures);
+    }
+    for report in &sibling_reports {
+        assert!(report.passed, "sibling failures: {:?}", report.failures);
+    }
 }

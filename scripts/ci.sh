@@ -98,10 +98,11 @@ fi
 echo "==> trace-emission confinement guard"
 # The flight recorder's event schema lives in one place: only crates/obs
 # constructs TraceKind values or pushes ring events; every other crate
-# emits through the typed helpers (obs::trace::cache_probe, rung_chosen,
-# wal_append, ...). The oracle's tracing-transparency invariant is the
-# one allowed *consumer*: it pattern-matches drained events to falsify
-# the recorder, but never constructs them.
+# emits through the typed helpers (obs::Recorder::cache_probe,
+# rung_chosen, obs::trace::wal_append, ...). The oracle's tracing-transparency invariant is the
+# one allowed *consumer*: it pattern-matches the events its own thread
+# recorded (obs::trace::drain_thread, on an engine built with a private
+# obs::Recorder) to falsify the recorder, but never constructs them.
 if grep -RnE 'TraceKind::|push\(Event' \
     --include='*.rs' \
     src tests examples crates \
