@@ -441,9 +441,12 @@ mod tests {
         }
     }
 
+    /// Bucket averages, default bucket, exceptions, and bucket bounds.
+    type Parts = (Vec<u64>, u32, Vec<(u64, u32)>, Vec<ValueBounds>);
+
     /// A typical end-biased shape: two singleton exceptions plus a wide
     /// default bucket.
-    fn end_biased_parts() -> (Vec<u64>, u32, Vec<(u64, u32)>, Vec<ValueBounds>) {
+    fn end_biased_parts() -> Parts {
         (
             vec![50, 30, 4],
             2,

@@ -100,8 +100,8 @@ proptest! {
             .collect();
         // Ensure every bucket non-empty by pinning the first `buckets`.
         let mut assignment = assignment;
-        for b in 0..buckets {
-            assignment[b] = b as u32;
+        for (b, slot) in assignment.iter_mut().enumerate().take(buckets) {
+            *slot = b as u32;
         }
         let hist = Histogram::from_assignment(&freqs, assignment, buckets).unwrap();
         let s = hist.exact_self_join_size() as f64;

@@ -32,7 +32,7 @@ use relstore::join::materialize_join;
 use relstore::stats::frequency_table;
 use relstore::{Catalog, CatalogSnapshot, Relation, Schema, StoredHistogram};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vopt_hist::BuilderSpec;
 
 /// A registry of relations with statistics, able to execute and estimate
@@ -122,6 +122,13 @@ impl ColumnStats<'_> {
             }
         }
     }
+}
+
+/// `engine_queries_total`, resolved once rather than probed by name per
+/// query.
+pub(crate) fn queries_total() -> &'static Arc<obs::Counter> {
+    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| obs::counter("engine_queries_total"))
 }
 
 /// The [`StatsUse`] target string for one filter lookup. Equality-shaped
@@ -470,7 +477,7 @@ impl Engine {
     /// graph (cross products are rejected). Returns the `COUNT(*)`.
     pub fn execute(&self, query: &Query) -> Result<u128> {
         let _span = obs::span("execute");
-        obs::counter("engine_queries_total").inc();
+        queries_total().inc();
         self.bind(query)?;
         // Filters grouped per table.
         let mut per_table: HashMap<&str, Vec<&FilterPredicate>> = HashMap::new();
@@ -1110,13 +1117,34 @@ mod tests {
         assert_eq!(
             sources,
             vec![StatsUse {
-                target: "t.a".to_string(),
+                target: "t.a".into(),
                 rung: EstimateRung::Uniform,
                 tuned: false,
             }]
         );
         // Execution works without statistics.
         assert_eq!(e.execute(&q).unwrap(), 20);
+    }
+
+    #[test]
+    fn cache_hit_replays_the_cached_targets_without_copying_them() {
+        let e = engine_with_chain();
+        let q = e
+            .parse("SELECT COUNT(*) FROM r0, r1 WHERE r0.a = r1.a AND r0.a < 4")
+            .unwrap();
+        let (_, computed) = e.estimate_with_sources(&q).unwrap();
+        let (_, replayed) = e.estimate_with_sources(&q).unwrap();
+        assert_eq!(replayed, computed);
+        let snap = e.catalog.read_snapshot();
+        let fp = fingerprint(&q);
+        let cached = e
+            .cache
+            .get(fp, snap.epoch())
+            .expect("second estimate was a hit");
+        assert_eq!(replayed.len(), 2);
+        for (r, c) in replayed.iter().zip(cached.sources.iter()) {
+            assert!(Arc::ptr_eq(&r.target, &c.target), "{} was copied", r.target);
+        }
     }
 
     #[test]
@@ -1310,15 +1338,15 @@ mod tests {
             .parse("SELECT COUNT(*) FROM r0 WHERE r0.a BETWEEN 2 AND 6")
             .unwrap();
         let (_, sources) = e.estimate_with_sources(&q).unwrap();
-        assert_eq!(sources[0].target, "r0.a BETWEEN 2 AND 6");
+        assert_eq!(&*sources[0].target, "r0.a BETWEEN 2 AND 6");
         let q = e.parse("SELECT COUNT(*) FROM r0 WHERE r0.a > 4").unwrap();
         let (_, sources) = e.estimate_with_sources(&q).unwrap();
-        assert_eq!(sources[0].target, "r0.a > 4");
+        assert_eq!(&*sources[0].target, "r0.a > 4");
         // Equality-family filters keep the bare-column trail of the
         // pre-interpolation engine.
         let q = e.parse("SELECT COUNT(*) FROM r0 WHERE r0.a = 2").unwrap();
         let (_, sources) = e.estimate_with_sources(&q).unwrap();
-        assert_eq!(sources[0].target, "r0.a");
+        assert_eq!(&*sources[0].target, "r0.a");
     }
 
     #[test]
@@ -1334,7 +1362,7 @@ mod tests {
         );
         // And the point interval keeps the bare-column equality trail.
         let (_, sources) = e.estimate_with_sources(&qb).unwrap();
-        assert_eq!(sources[0].target, "r0.a");
+        assert_eq!(&*sources[0].target, "r0.a");
     }
 
     #[test]
@@ -1362,7 +1390,7 @@ mod tests {
             last = exact;
             let (est, sources) = e.estimate_with_sources(&q).unwrap();
             assert!(est.is_finite() && est >= 0.0, "w={w}: {est}");
-            assert_eq!(sources[0].target, format!("abs(r0.a - r1.a) <= {w}"));
+            assert_eq!(*sources[0].target, format!("abs(r0.a - r1.a) <= {w}"));
             assert_eq!(sources[0].rung, EstimateRung::Spec);
         }
         // A band covering the whole domain is the cross product.

@@ -180,7 +180,7 @@ impl Engine {
     /// statistics states.
     pub fn explain_analyze(&self, query: &Query) -> Result<ExplainOutput> {
         let _span = obs::span("explain_analyze");
-        obs::counter("engine_queries_total").inc();
+        crate::engine::queries_total().inc();
         self.bind(query)?;
         let snap = self.catalog().read_snapshot();
         let mut steps = Vec::new();
@@ -654,7 +654,7 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.stats_sources.iter().any(|s| s.target == "r0.a >= 3"),
+            out.stats_sources.iter().any(|s| &*s.target == "r0.a >= 3"),
             "{out}"
         );
         assert_eq!(out.worst_rung(), Some(EstimateRung::Spec));

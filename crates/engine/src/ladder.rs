@@ -87,8 +87,9 @@ impl Default for EstimatePolicy {
 /// join pair) and which rung answered. `explain_analyze` reports these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsUse {
-    /// What was looked up (`t.a`, or `t.a = s.b` for a join).
-    pub target: String,
+    /// What was looked up (`t.a`, or `t.a = s.b` for a join). Shared,
+    /// so replaying a cached trail clones a pointer, not the text.
+    pub target: Arc<str>,
     /// The ladder rung that answered.
     pub rung: EstimateRung,
     /// Whether feedback tuning has adjusted the answering statistics
@@ -146,10 +147,11 @@ impl EngineObs {
     pub(crate) fn record_stats_use(
         &self,
         sources: &mut Vec<StatsUse>,
-        target: String,
+        target: impl Into<Arc<str>>,
         rung: EstimateRung,
         tuned: bool,
     ) {
+        let target = target.into();
         self.rung_counters[rung as usize].inc();
         self.recorder.rung_chosen(&target, rung.name());
         sources.push(StatsUse {

@@ -21,6 +21,7 @@ use crate::ladder::{EstimateRung, StatsUse};
 use relstore::catalog::StatKey;
 use relstore::CatalogSnapshot;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Provenance of one statistics lookup: the [`StatsUse`] plus what the
@@ -28,7 +29,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsProvenance {
     /// What was looked up (`t.a`, or `t.a = s.b` for a join).
-    pub target: String,
+    pub target: Arc<str>,
     /// The degradation-ladder rung that answered.
     pub rung: EstimateRung,
     /// Whether feedback tuning adjusted the answering statistics since
@@ -105,7 +106,7 @@ impl StatsProvenance {
             None => column_facts(snap, &source.target),
         };
         Self {
-            target: source.target.clone(),
+            target: Arc::clone(&source.target),
             rung: source.rung,
             tuned: source.tuned,
             class,

@@ -126,10 +126,10 @@ mod tensor_props {
                 .map(|i| (seed.rotate_left(i as u32) % 50) as u64)
                 .collect();
             let t = Tensor::from_data(dims.clone(), data).unwrap();
-            for axis in 0..dims.len() {
+            for (axis, &dim) in dims.iter().enumerate() {
                 let marginal = t.sum_to_axis(axis).unwrap();
                 prop_assert_eq!(marginal.iter().sum::<u64>(), t.sum_all());
-                prop_assert_eq!(marginal.len(), dims[axis]);
+                prop_assert_eq!(marginal.len(), dim);
             }
         }
 
@@ -142,11 +142,11 @@ mod tensor_props {
                 .map(|i| (seed.wrapping_add(i as u64) % 20) as u64)
                 .collect();
             let original = Tensor::from_data(dims.clone(), data).unwrap();
-            for axis in 0..dims.len() {
+            for (axis, &dim) in dims.iter().enumerate() {
                 let mut t = original.clone();
-                t.scale_axis(axis, &vec![1u64; dims[axis]]).unwrap();
+                t.scale_axis(axis, &vec![1u64; dim]).unwrap();
                 prop_assert_eq!(&t, &original);
-                t.scale_axis(axis, &vec![0u64; dims[axis]]).unwrap();
+                t.scale_axis(axis, &vec![0u64; dim]).unwrap();
                 prop_assert_eq!(t.sum_all(), 0);
             }
         }

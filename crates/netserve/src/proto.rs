@@ -651,7 +651,7 @@ impl Response {
                     let tuned = b & TUNED_BIT != 0;
                     let rung = rung_from_u8(b & !TUNED_BIT)?;
                     sources.push(StatsUse {
-                        target,
+                        target: target.into(),
                         rung,
                         tuned,
                     });

@@ -81,7 +81,7 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 
 fn stats_use_strategy() -> impl Strategy<Value = StatsUse> {
     (".{0,30}", 0u8..4, any::<bool>()).prop_map(|(target, rung, tuned)| StatsUse {
-        target,
+        target: target.into(),
         rung: match rung {
             0 => EstimateRung::Spec,
             1 => EstimateRung::EndBiased,
@@ -133,13 +133,15 @@ proptest! {
         prop_assert_eq!(Request::decode(opcode, payload).unwrap(), req);
     }
 
-    /// Every response frame round-trips; `Estimated` compares the
-    /// f64 by bit pattern (NaN-safe).
+    /// Every response frame round-trips, and re-encoding the decoded
+    /// response gives the same bytes; `Estimated` compares the f64 by
+    /// bit pattern (NaN-safe).
     #[test]
     fn any_response_round_trips(resp in response_strategy()) {
         let frame = resp.encode_frame().unwrap();
         let (opcode, payload) = read_frame(&mut frame.as_ref()).unwrap();
         let back = Response::decode(opcode, payload).unwrap();
+        prop_assert_eq!(back.encode_frame().unwrap(), frame);
         match (&resp, &back) {
             (
                 Response::Estimated { estimate: a, sources: sa },
@@ -177,6 +179,39 @@ proptest! {
             }
         }
     }
+}
+
+/// The `StatsUse` trail's wire layout, pinned byte for byte: per entry
+/// a length-prefixed target, then the rung code with the tuned bit.
+#[test]
+fn stats_use_trail_encoding_is_pinned() {
+    let resp = Response::Estimated {
+        estimate: 12.75,
+        sources: vec![
+            StatsUse {
+                target: "t.a".into(),
+                rung: EstimateRung::Spec,
+                tuned: true,
+            },
+            StatsUse {
+                target: "l.a = r.b".into(),
+                rung: EstimateRung::Uniform,
+                tuned: false,
+            },
+        ],
+    };
+    let mut expected = BytesMut::new();
+    expected.put_u64_le(12.75f64.to_bits());
+    expected.put_u32_le(2);
+    put_str(&mut expected, "t.a");
+    expected.put_u8(0x80);
+    put_str(&mut expected, "l.a = r.b");
+    expected.put_u8(3);
+    let (opcode, payload) = resp.encode();
+    assert_eq!(payload.as_ref(), expected.as_ref());
+    let back = Response::decode(opcode, payload.clone()).unwrap();
+    assert_eq!(back, resp);
+    assert_eq!(back.encode(), (opcode, payload));
 }
 
 // --- Adversarial bytes against a live server -------------------------

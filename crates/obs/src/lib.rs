@@ -1,11 +1,11 @@
 //! Workspace-wide observability, built from scratch.
 //!
-//! Three cooperating layers, all cheap enough to leave on:
+//! Cooperating layers, all cheap enough to leave on:
 //!
-//! * [`mod@span`] — thread-local hierarchical spans with monotonic timers
-//!   and structured key-value events. Span closes feed both the
-//!   metrics registry (a latency histogram per span path) and a
-//!   lock-free ring buffer of recent events.
+//! * [`mod@span`] — thread-local hierarchical spans with monotonic
+//!   timers. Span paths are interned once, so a span close feeds its
+//!   path's latency histogram through a held handle and, while tracing,
+//!   the flight recorder below — the one sink every event goes to.
 //! * [`metrics`] — a registry of named counters, gauges, and
 //!   log-bucketed latency histograms. The latency buckets are powers
 //!   of two — the same "store an average per bucket, accept bounded
@@ -46,7 +46,6 @@ pub mod export;
 pub mod metrics;
 pub mod quality;
 pub mod recorder;
-pub mod ring;
 pub mod span;
 pub mod trace;
 

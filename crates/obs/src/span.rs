@@ -2,29 +2,110 @@
 //!
 //! [`span("engine.query")`](span) opens a span; dropping (or
 //! [`finish`](SpanGuard::finish)ing) it records the wall time into the
-//! per-path latency histogram `span_seconds{span="<path>"}` and pushes
-//! a close event onto the recent-events ring. Nesting is tracked per
-//! thread: a span opened while another is active gets the dotted
-//! concatenation of its ancestors' names as its path, so
-//! `engine.query` containing `estimate` records as
-//! `engine.query.estimate`.
+//! per-path latency histogram `span_seconds{span="<path>"}` and, while
+//! tracing, emits the span's open and close events to [`crate::trace`],
+//! the one event sink. Nesting is tracked per thread: a span opened
+//! while another is active gets the dotted concatenation of its
+//! ancestors' names as its path, so `engine.query` containing
+//! `estimate` records as `engine.query.estimate`.
+//!
+//! # Interned paths
+//!
+//! The first open of a path interns it: (parent node, name) maps to a
+//! leaked `&'static` node holding the dotted path and its
+//! resolved `span_seconds` histogram. A per-thread cache answers repeat
+//! opens by address, a global interner keyed by content answers the
+//! rest, so a warm span open and close neither allocates nor probes the
+//! metrics registry. Nodes are never freed; their number is bounded by
+//! the number of distinct span paths, the same bound the registry has
+//! on `span_seconds` series. Each span edge reads the clock once, and
+//! that reading also stamps the edge's trace event.
 //!
 //! With recording disabled, opening a span is one relaxed atomic load;
 //! no clock is read and no thread-local is touched.
 
-use crate::ring::{self, Event};
-use std::cell::RefCell;
-use std::time::Instant;
+use crate::metrics::LatencyHistogram;
+use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// One interned span path: its dotted path, its parent, and its
+/// `span_seconds{span="<path>"}` histogram.
+struct SpanNode {
+    path: &'static str,
+    parent: Option<&'static SpanNode>,
+    histogram: Arc<LatencyHistogram>,
+}
+
+/// Word-at-a-time hasher for the per-thread cache, whose keys are
+/// addresses and lengths, never input from outside the program.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b.into()));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(5) ^ n as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// (parent node address, name address, name length): equal keys name
+/// the same bytes under the same parent.
+type AddrKey = (usize, usize, usize);
 
 thread_local! {
-    /// Names of the currently open spans on this thread, outermost
-    /// first.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The innermost open span on this thread.
+    static CURRENT: Cell<Option<&'static SpanNode>> = const { Cell::new(None) };
+    static NODE_CACHE: RefCell<HashMap<AddrKey, &'static SpanNode, BuildHasherDefault<AddrHasher>>> =
+        RefCell::new(HashMap::default());
+}
+
+fn addr(node: Option<&'static SpanNode>) -> usize {
+    node.map_or(0, |n| n as *const SpanNode as usize)
+}
+
+/// The node for `name` under `parent`, interned on first use.
+fn child(parent: Option<&'static SpanNode>, name: &'static str) -> &'static SpanNode {
+    let key = (addr(parent), name.as_ptr() as usize, name.len());
+    NODE_CACHE.with(|c| {
+        *c.borrow_mut()
+            .entry(key)
+            .or_insert_with(|| intern(parent, name))
+    })
+}
+
+fn intern(parent: Option<&'static SpanNode>, name: &'static str) -> &'static SpanNode {
+    type Interner = Mutex<HashMap<(usize, &'static str), &'static SpanNode>>;
+    static NODES: OnceLock<Interner> = OnceLock::new();
+    let mut nodes = NODES.get_or_init(Default::default).lock();
+    nodes.entry((addr(parent), name)).or_insert_with(|| {
+        let path = match parent {
+            Some(p) => format!("{}.{name}", p.path),
+            None => name.to_string(),
+        };
+        let histogram =
+            crate::metrics::histogram(&crate::metrics::labeled("span_seconds", "span", &path));
+        Box::leak(Box::new(SpanNode {
+            path: Box::leak(path.into_boxed_str()),
+            parent,
+            histogram,
+        }))
+    })
 }
 
 /// The dotted path of the currently open spans (empty when none).
-pub fn current_path() -> String {
-    SPAN_STACK.with(|s| s.borrow().join("."))
+pub fn current_path() -> &'static str {
+    CURRENT.get().map_or("", |n| n.path)
 }
 
 /// RAII guard for an open span. Recording happens on drop or
@@ -38,7 +119,7 @@ pub struct SpanGuard {
 
 struct Armed {
     start: Instant,
-    path: String,
+    node: &'static SpanNode,
     /// Flight-recorder span id (0 when tracing was off at open time).
     trace_id: u64,
 }
@@ -48,67 +129,41 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { armed: None };
     }
-    let path = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        stack.push(name);
-        stack.join(".")
-    });
-    let trace_id = crate::trace::open_span(&path);
+    let node = child(CURRENT.get(), name);
+    CURRENT.set(Some(node));
+    let start = Instant::now();
+    let trace_id = crate::trace::open_span(node.path, start);
     SpanGuard {
         armed: Some(Armed {
-            start: Instant::now(),
-            path,
+            start,
+            node,
             trace_id,
         }),
     }
 }
 
 impl SpanGuard {
-    /// Records a structured key-value event under this span's path
-    /// (dropped silently on a disabled-at-open guard).
-    pub fn record<V: std::fmt::Display>(&self, key: &'static str, value: V) {
-        if let Some(armed) = &self.armed {
-            if crate::enabled() {
-                ring::push(Event::KeyValue {
-                    path: armed.path.clone(),
-                    key,
-                    value: value.to_string(),
-                });
-            }
-        }
-    }
-
     /// Closes the span now, recording and returning its wall time.
     /// Returns zero for a guard opened while recording was disabled.
-    pub fn finish(mut self) -> std::time::Duration {
+    pub fn finish(mut self) -> Duration {
         self.close()
     }
 
     /// The span's dotted path (empty for a disabled guard).
-    pub fn path(&self) -> &str {
-        self.armed.as_ref().map(|a| a.path.as_str()).unwrap_or("")
+    pub fn path(&self) -> &'static str {
+        self.armed.as_ref().map_or("", |a| a.node.path)
     }
 
-    fn close(&mut self) -> std::time::Duration {
+    fn close(&mut self) -> Duration {
         let Some(armed) = self.armed.take() else {
-            return std::time::Duration::ZERO;
+            return Duration::ZERO;
         };
-        let elapsed = armed.start.elapsed();
-        SPAN_STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
+        let end = Instant::now();
+        let elapsed = end.saturating_duration_since(armed.start);
+        CURRENT.set(armed.node.parent);
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        crate::metrics::histogram(&crate::metrics::labeled(
-            "span_seconds",
-            "span",
-            &armed.path,
-        ))
-        .observe_ns(ns);
-        crate::trace::close_span(armed.trace_id, &armed.path, ns);
-        ring::push(Event::SpanClose {
-            path: armed.path,
-            elapsed_ns: ns,
-        });
+        armed.node.histogram.observe_ns(ns);
+        crate::trace::close_span(armed.trace_id, armed.node.path, ns, end);
         elapsed
     }
 }
@@ -141,16 +196,14 @@ mod tests {
     #[test]
     fn finish_records_into_histogram_and_ring() {
         let _guard = crate::test_lock();
-        crate::ring::drain();
+        crate::trace::drain_thread();
         let before = crate::metrics::histogram(&crate::metrics::labeled(
             "span_seconds",
             "span",
             "span_test_unit",
         ))
         .count();
-        let sp = span("span_test_unit");
-        sp.record("rows", 128u64);
-        let elapsed = sp.finish();
+        let elapsed = span("span_test_unit").finish();
         assert!(elapsed.as_nanos() > 0);
         let after = crate::metrics::histogram(&crate::metrics::labeled(
             "span_seconds",
@@ -159,16 +212,24 @@ mod tests {
         ))
         .count();
         assert_eq!(after, before + 1);
-        let events = crate::ring::drain();
+        let events = crate::trace::drain_thread();
         assert!(events.iter().any(|e| matches!(
-            e,
-            Event::KeyValue { path, key, value }
-                if path == "span_test_unit" && *key == "rows" && value == "128"
+            e.kind,
+            crate::trace::TraceKind::SpanClose { path: "span_test_unit", elapsed_ns }
+                if elapsed_ns == elapsed.as_nanos() as u64
         )));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            Event::SpanClose { path, .. } if path == "span_test_unit"
-        )));
+    }
+
+    #[test]
+    fn equal_names_at_different_addresses_share_one_node() {
+        let _guard = crate::test_lock();
+        let name: &'static str = Box::leak(String::from("outer").into_boxed_str());
+        let a = span("outer");
+        let a_node = CURRENT.get().expect("open span");
+        drop(a);
+        let b = span(name);
+        assert!(std::ptr::eq(a_node, CURRENT.get().expect("open span")));
+        drop(b);
     }
 
     #[test]
@@ -178,7 +239,7 @@ mod tests {
         let sp = span("span_disabled_test");
         assert_eq!(sp.path(), "");
         assert_eq!(current_path(), "");
-        assert_eq!(sp.finish(), std::time::Duration::ZERO);
+        assert_eq!(sp.finish(), Duration::ZERO);
         crate::set_enabled(true);
     }
 }

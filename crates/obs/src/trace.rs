@@ -22,8 +22,11 @@
 //! recording never blocks or allocates a lock. Evictions are counted in
 //! `trace_events_dropped_total`. When a thread exits, its ring is
 //! drained into a bounded global retired buffer so short-lived worker
-//! threads (the engine's parallel ANALYZE, bench workers) don't lose
-//! their tail or leak their ring.
+//! threads (bench workers, server connections) don't lose their tail or
+//! leak their ring. A fork-join worker (`relstore::par_map`) instead
+//! [`capture`]s each item's events, unnumbered, and the joining thread
+//! [`publish`]es them in item order, so a parallel ANALYZE traces in
+//! one deterministic order.
 //!
 //! Tracing rides on the same process-wide master switch as the rest of
 //! `obs` — with [`crate::set_enabled`]`(false)` every emission is one
@@ -67,13 +70,13 @@ pub const RETIRED_CAPACITY: usize = 65_536;
 pub enum TraceKind {
     /// A span opened.
     SpanOpen {
-        /// Dotted span path, e.g. `estimate.est_compute`.
-        path: String,
+        /// Dotted span path, e.g. `estimate.est_compute` (interned).
+        path: &'static str,
     },
     /// A span closed.
     SpanClose {
-        /// Dotted span path.
-        path: String,
+        /// Dotted span path (interned).
+        path: &'static str,
         /// Span wall time in nanoseconds.
         elapsed_ns: u64,
     },
@@ -89,8 +92,9 @@ pub enum TraceKind {
     /// A degradation-ladder rung answered a statistics lookup that
     /// contributes to a returned estimate.
     Rung {
-        /// The lookup target (`t.a`, or `t.a = s.b` for a join).
-        target: String,
+        /// The lookup target (`t.a`, or `t.a = s.b` for a join), shared
+        /// with the trail entry it came from.
+        target: Arc<str>,
         /// Rung name (`spec`, `end_biased`, `trivial`, `uniform`).
         rung: &'static str,
     },
@@ -261,8 +265,11 @@ fn process_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
-    process_epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
+/// Nanoseconds from process start to `at`.
+fn ns_since_start(at: Instant) -> u64 {
+    at.saturating_duration_since(process_epoch())
+        .as_nanos()
+        .min(u64::MAX as u128) as u64
 }
 
 fn dropped_total() -> &'static Arc<crate::Counter> {
@@ -292,122 +299,165 @@ fn retired() -> &'static Mutex<Vec<TraceEvent>> {
     RETIRED.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Owns this thread's ring for the thread's lifetime; the drop glue
-/// retires the ring's contents so scoped workers keep their events.
-struct TlsRing(Arc<ThreadRing>);
+/// This thread's recording state. The drop glue retires the ring's
+/// contents so scoped workers keep their events.
+struct ThreadTrace {
+    ring: Arc<ThreadRing>,
+    /// Ids of the spans open on this thread, outermost first, so
+    /// instant events can name their enclosing span.
+    span_ids: Vec<u64>,
+    /// While [`capture`] runs: the events held back, without sequence
+    /// numbers.
+    captured: Option<Vec<TraceEvent>>,
+}
 
-impl TlsRing {
+impl ThreadTrace {
     fn new() -> Self {
         let ring = Arc::new(ThreadRing {
             thread: THREAD_SEQ.fetch_add(1, Ordering::Relaxed),
             ring: ArrayQueue::new(THREAD_RING_CAPACITY),
         });
         live_rings().lock().push(Arc::clone(&ring));
-        TlsRing(ring)
+        Self {
+            ring,
+            span_ids: Vec::new(),
+            captured: None,
+        }
+    }
+
+    /// The innermost open span and its parent (0 when none).
+    fn span_and_parent(&self) -> (u64, u64) {
+        let mut ids = self.span_ids.iter().rev().copied();
+        (ids.next().unwrap_or(0), ids.next().unwrap_or(0))
+    }
+
+    fn event(&self, span: u64, parent: u64, ts_ns: u64, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
+            seq: 0,
+            ts_ns,
+            thread: self.ring.thread,
+            span,
+            parent,
+            kind,
+        }
+    }
+
+    /// Holds `event` back while capturing; otherwise gives it the next
+    /// global sequence number and pushes it onto this thread's ring.
+    fn deliver(&mut self, mut event: TraceEvent) {
+        if let Some(held) = &mut self.captured {
+            held.push(event);
+            return;
+        }
+        event.seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.ring.ring.force_push(event).is_some() {
+            dropped_total().inc();
+        }
     }
 }
 
-impl Drop for TlsRing {
+impl Drop for ThreadTrace {
     fn drop(&mut self) {
-        let mut events = Vec::with_capacity(self.0.ring.len());
-        while let Some(e) = self.0.ring.pop() {
-            events.push(e);
-        }
+        let ring = &self.ring;
+        // Moved under the retired lock, which `drain` holds throughout:
+        // a drain sees each event in the ring or in the retired buffer.
         let mut buf = retired().lock();
-        buf.extend(events);
+        while let Some(e) = ring.ring.pop() {
+            buf.push(e);
+        }
         let excess = buf.len().saturating_sub(RETIRED_CAPACITY);
         if excess > 0 {
             buf.drain(..excess);
             dropped_total().add(excess as u64);
         }
         drop(buf);
-        let thread = self.0.thread;
-        live_rings().lock().retain(|r| r.thread != thread);
+        live_rings().lock().retain(|r| r.thread != ring.thread);
     }
 }
 
 thread_local! {
-    static TLS_RING: TlsRing = TlsRing::new();
-    /// Ids of the spans open on this thread, outermost first. Kept
-    /// here (not in `span`) so instant events can name their enclosing
-    /// span without touching the span module's name stack.
-    static SPAN_IDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-fn push_event(span: u64, parent: u64, kind: TraceKind) {
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-    let event = TraceEvent {
-        seq,
-        ts_ns: now_ns(),
-        thread: 0,
-        span,
-        parent,
-        kind,
-    };
-    TLS_RING.with(|t| {
-        let mut event = event;
-        event.thread = t.0.thread;
-        if t.0.ring.force_push(event).is_some() {
-            dropped_total().inc();
-        }
-    });
+    static LOCAL: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::new());
 }
 
 /// Records an instant event under the innermost open traced span.
 fn record(kind: TraceKind) {
-    let (span, parent) = SPAN_IDS.with(|s| {
-        let stack = s.borrow();
-        let n = stack.len();
-        (
-            if n >= 1 { stack[n - 1] } else { 0 },
-            if n >= 2 { stack[n - 2] } else { 0 },
-        )
+    let ts_ns = ns_since_start(Instant::now());
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let (span, parent) = l.span_and_parent();
+        let event = l.event(span, parent, ts_ns, kind);
+        l.deliver(event);
     });
-    push_event(span, parent, kind);
 }
 
-/// Opens a traced span: allocates its id, records the open event, and
-/// returns the id for [`close_span`]. Returns 0 (and records nothing)
-/// when tracing is off. Called by [`crate::span`]'s open path.
-pub(crate) fn open_span(path: &str) -> u64 {
+/// Opens a traced span at `at`: allocates its id, records the open
+/// event, and returns the id for [`close_span`]. Returns 0 (and records
+/// nothing) when tracing is off. Called by [`crate::span`]'s open path.
+pub(crate) fn open_span(path: &'static str, at: Instant) -> u64 {
     if !active() {
         return 0;
     }
-    let parent = SPAN_IDS.with(|s| s.borrow().last().copied().unwrap_or(0));
     let id = SPAN_ID_SEQ.fetch_add(1, Ordering::Relaxed);
-    SPAN_IDS.with(|s| s.borrow_mut().push(id));
-    push_event(
-        id,
-        parent,
-        TraceKind::SpanOpen {
-            path: path.to_string(),
-        },
-    );
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        let (parent, _) = l.span_and_parent();
+        l.span_ids.push(id);
+        let event = l.event(id, parent, ns_since_start(at), TraceKind::SpanOpen { path });
+        l.deliver(event);
+    });
     id
 }
 
-/// Closes a traced span opened by [`open_span`]. Always records the
-/// close when the open was recorded (`id != 0`), even if tracing was
-/// switched off in between — every recorded open gets its close.
-pub(crate) fn close_span(id: u64, path: &str, elapsed_ns: u64) {
+/// Closes, at `at`, a traced span opened by [`open_span`]. Always
+/// records the close when the open was recorded (`id != 0`), even if
+/// tracing was switched off in between — every recorded open gets its
+/// close.
+pub(crate) fn close_span(id: u64, path: &'static str, elapsed_ns: u64, at: Instant) {
     if id == 0 {
         return;
     }
-    let parent = SPAN_IDS.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(pos) = stack.iter().rposition(|&x| x == id) {
-            stack.remove(pos);
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if let Some(pos) = l.span_ids.iter().rposition(|&x| x == id) {
+            l.span_ids.remove(pos);
         }
-        stack.last().copied().unwrap_or(0)
+        let (parent, _) = l.span_and_parent();
+        let kind = TraceKind::SpanClose { path, elapsed_ns };
+        let event = l.event(id, parent, ns_since_start(at), kind);
+        l.deliver(event);
     });
-    push_event(
-        id,
-        parent,
-        TraceKind::SpanClose {
-            path: path.to_string(),
-            elapsed_ns,
-        },
-    );
+}
+
+/// Trace events one [`capture`] held back, to be [`publish`]ed.
+#[must_use = "captured events are lost unless published"]
+#[derive(Debug)]
+pub struct Captured(Vec<TraceEvent>);
+
+/// Runs `f`, holding back every trace event it records on this thread
+/// instead of numbering it. A fork-join worker captures each item's
+/// events so that the joining thread can [`publish`] them in item
+/// order: the merged sequence then follows the input, not which worker
+/// won the race for the global counter.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
+    let outer = LOCAL.with(|l| l.borrow_mut().captured.replace(Vec::new()));
+    let out = f();
+    let held = LOCAL.with(|l| std::mem::replace(&mut l.borrow_mut().captured, outer));
+    (out, Captured(held.unwrap_or_default()))
+}
+
+/// Publishes captured events from the calling thread, oldest first,
+/// numbering them now. Each keeps the id of the thread that recorded
+/// it. Inside another [`capture`], they are held back again instead.
+pub fn publish(captured: Captured) {
+    if captured.0.is_empty() {
+        return;
+    }
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        for event in captured.0 {
+            l.deliver(event);
+        }
+    });
 }
 
 /// The estimation-path emissions, gated by the emitting recorder's own
@@ -425,12 +475,12 @@ impl Recorder {
 
     /// Records which ladder rung answered a statistics lookup that
     /// contributes to a returned estimate.
-    pub fn rung_chosen(&self, target: &str, rung: &'static str) {
+    pub fn rung_chosen(&self, target: &Arc<str>, rung: &'static str) {
         if !self.trace_active() {
             return;
         }
         record(TraceKind::Rung {
-            target: target.to_string(),
+            target: Arc::clone(target),
             rung,
         });
     }
@@ -564,7 +614,8 @@ pub fn tune_skipped(key: &str, reason: &'static str) {
 /// per-thread rings — merged into one sequence-ordered stream. Events
 /// recorded concurrently with the drain may land in the next drain.
 pub fn drain() -> Vec<TraceEvent> {
-    let mut out: Vec<TraceEvent> = std::mem::take(&mut *retired().lock());
+    let mut retired = retired().lock();
+    let mut out: Vec<TraceEvent> = std::mem::take(&mut *retired);
     let rings: Vec<Arc<ThreadRing>> = live_rings().lock().clone();
     for r in rings {
         // Bounded pop: a concurrent producer force-pushing while we
@@ -576,17 +627,20 @@ pub fn drain() -> Vec<TraceEvent> {
             }
         }
     }
+    drop(retired);
     out.sort_by_key(|e| e.seq);
     out
 }
 
-/// Drains the calling thread's ring only, oldest first. It neither sees
-/// nor takes events recorded on any other thread, so a caller whose
-/// emissions all happen on its own thread reads back exactly those.
+/// Drains the calling thread's ring only, oldest first: the events this
+/// thread recorded or [`publish`]ed. It neither sees nor takes another
+/// thread's, so a caller whose emissions all happen on its own thread
+/// reads back exactly those.
 pub fn drain_thread() -> Vec<TraceEvent> {
-    TLS_RING.with(|t| {
-        let mut out = Vec::with_capacity(t.0.ring.len());
-        while let Some(e) = t.0.ring.pop() {
+    LOCAL.with(|l| {
+        let ring = &l.borrow().ring.ring;
+        let mut out = Vec::with_capacity(ring.len());
+        while let Some(e) = ring.pop() {
             out.push(e);
         }
         out
@@ -820,7 +874,7 @@ mod tests {
         let _guard = crate::test_lock();
         drain();
         Recorder::global().cache_probe(true, 3, 7);
-        Recorder::global().rung_chosen("t.a", "spec");
+        Recorder::global().rung_chosen(&"t.a".into(), "spec");
         wal_append(2, 128);
         let events = drain();
         assert!(events.len() >= 3);
@@ -837,7 +891,7 @@ mod tests {
             }
         )));
         assert!(events.iter().any(
-            |e| matches!(&e.kind, TraceKind::Rung { target, rung: "spec" } if target == "t.a")
+            |e| matches!(&e.kind, TraceKind::Rung { target, rung: "spec" } if &**target == "t.a")
         ));
     }
 
@@ -855,12 +909,12 @@ mod tests {
         let events = drain();
         let open_outer = events
             .iter()
-            .find(|e| matches!(&e.kind, TraceKind::SpanOpen { path } if path == "trace_outer"))
+            .find(|e| matches!(e.kind, TraceKind::SpanOpen { path } if path == "trace_outer"))
             .expect("outer open recorded");
         let open_inner = events
             .iter()
             .find(|e| {
-                matches!(&e.kind, TraceKind::SpanOpen { path } if path == "trace_outer.trace_inner")
+                matches!(e.kind, TraceKind::SpanOpen { path } if path == "trace_outer.trace_inner")
             })
             .expect("inner open recorded");
         assert_ne!(open_outer.span, 0);
@@ -897,7 +951,7 @@ mod tests {
         let events = drain();
         assert!(
             !events.iter().any(|e| matches!(&e.kind, TraceKind::CacheProbe { .. })
-                || matches!(&e.kind, TraceKind::SpanOpen { path } if path == "trace_disabled_span")),
+                || matches!(e.kind, TraceKind::SpanOpen { path } if path == "trace_disabled_span")),
             "trace-off emissions must vanish: {events:?}"
         );
     }
@@ -963,7 +1017,7 @@ mod tests {
         Recorder::global().cache_probe(false, 2, 2);
         set_trace_enabled(false);
         private.set_trace_enabled(true);
-        private.rung_chosen("t.private", "trivial");
+        private.rung_chosen(&"t.private".into(), "trivial");
         Recorder::global().stats_resolved("t.global", None, "uniform", None);
         set_trace_enabled(true);
         let kinds: Vec<TraceKind> = drain_thread().into_iter().map(|e| e.kind).collect();

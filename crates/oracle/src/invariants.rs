@@ -1250,7 +1250,7 @@ pub fn check_range_band_matches_execution(w: &Workload) -> CheckReport {
                             format!("{case}: '{pred}' estimate {est} outside [0, |R|={rows}]"),
                         );
                     }
-                    if sources.len() != 1 || sources[0].target != *pred {
+                    if sources.len() != 1 || *sources[0].target != **pred {
                         push_fail(
                             &mut failures,
                             format!(
@@ -1426,7 +1426,7 @@ pub fn check_range_band_matches_execution(w: &Workload) -> CheckReport {
                         );
                     }
                     last_est = est;
-                    if !sources.iter().any(|s| s.target == pred) {
+                    if !sources.iter().any(|s| *s.target == *pred) {
                         push_fail(
                             &mut failures,
                             format!(

@@ -22,7 +22,7 @@ use crate::stats::{frequency_matrix_table, frequency_table, FrequencyTable};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vopt_hist::feedback::{tune_step, TuneConfig, TuneSkip};
 use vopt_hist::{BuilderSpec, Histogram, MatrixHistogram, ValueBounds};
 
@@ -326,6 +326,23 @@ pub struct CatalogSnapshot {
     failures: HashMap<StatKey, RefreshFailure>,
 }
 
+/// The `catalog_get_*_total` counters every statistics lookup bumps,
+/// resolved once rather than probed by name per lookup.
+struct GetCounters {
+    hit: Arc<obs::Counter>,
+    stale: Arc<obs::Counter>,
+    miss: Arc<obs::Counter>,
+}
+
+fn get_counters() -> &'static GetCounters {
+    static C: OnceLock<GetCounters> = OnceLock::new();
+    C.get_or_init(|| GetCounters {
+        hit: obs::counter("catalog_get_hit_total"),
+        stale: obs::counter("catalog_get_stale_total"),
+        miss: obs::counter("catalog_get_miss_total"),
+    })
+}
+
 impl CatalogSnapshot {
     /// The mutation count of the catalog at the instant this snapshot
     /// was published. Strictly monotone across snapshots of one catalog.
@@ -337,14 +354,14 @@ impl CatalogSnapshot {
     pub fn get(&self, key: &StatKey) -> Result<&StoredHistogram> {
         match self.entries.get(key) {
             Some(e) => {
-                obs::counter("catalog_get_hit_total").inc();
+                get_counters().hit.inc();
                 if self.version_of(&key.relation) > e.built_at_version {
-                    obs::counter("catalog_get_stale_total").inc();
+                    get_counters().stale.inc();
                 }
                 Ok(&e.histogram)
             }
             None => {
-                obs::counter("catalog_get_miss_total").inc();
+                get_counters().miss.inc();
                 Err(StoreError::MissingStatistics { key: key.display() })
             }
         }
@@ -354,14 +371,14 @@ impl CatalogSnapshot {
     pub fn get_matrix(&self, key: &StatKey) -> Result<&StoredMatrixHistogram> {
         match self.matrix_entries.get(key) {
             Some(e) => {
-                obs::counter("catalog_get_hit_total").inc();
+                get_counters().hit.inc();
                 if self.version_of(&key.relation) > e.built_at_version {
-                    obs::counter("catalog_get_stale_total").inc();
+                    get_counters().stale.inc();
                 }
                 Ok(&e.histogram)
             }
             None => {
-                obs::counter("catalog_get_miss_total").inc();
+                get_counters().miss.inc();
                 Err(StoreError::MissingStatistics { key: key.display() })
             }
         }

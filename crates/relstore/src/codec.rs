@@ -209,185 +209,6 @@ pub fn decode_matrix_histogram(mut data: Bytes) -> Result<StoredMatrixHistogram>
     StoredMatrixHistogram::from_parts(avgs, default, exceptions)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vopt_hist::construct::end_biased;
-
-    fn sample() -> StoredHistogram {
-        let freqs = [90u64, 10, 9, 8, 2, 7];
-        let hist = end_biased(&freqs, 2, 1).unwrap();
-        let values: Vec<u64> = (0..6).map(|i| i * 100).collect();
-        StoredHistogram::from_histogram(&values, &hist).unwrap()
-    }
-
-    #[test]
-    fn round_trip() {
-        let h = sample();
-        let encoded = encode_histogram(&h);
-        let decoded = decode_histogram(encoded).unwrap();
-        assert_eq!(h, decoded);
-    }
-
-    #[test]
-    fn round_trip_preserves_estimates() {
-        let h = sample();
-        let decoded = decode_histogram(encode_histogram(&h)).unwrap();
-        for v in [0u64, 100, 200, 300, 400, 500, 12345] {
-            assert_eq!(h.approx_frequency(v), decoded.approx_frequency(v));
-        }
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = encode_histogram(&sample()).to_vec();
-        bytes[0] = b'X';
-        assert!(matches!(
-            decode_histogram(Bytes::from(bytes)),
-            Err(StoreError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn truncation_rejected_at_every_boundary() {
-        let bytes = encode_histogram(&sample()).to_vec();
-        for cut in 0..bytes.len() {
-            let truncated = Bytes::copy_from_slice(&bytes[..cut]);
-            assert!(
-                decode_histogram(truncated).is_err(),
-                "cut at {cut} decoded successfully"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_rejected() {
-        let mut bytes = encode_histogram(&sample()).to_vec();
-        bytes.push(0);
-        assert!(decode_histogram(Bytes::from(bytes)).is_err());
-    }
-
-    #[test]
-    fn out_of_range_default_bucket_rejected() {
-        // Hand-craft: 1 bucket, default id 7.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u64_le(42);
-        buf.put_u32_le(7);
-        buf.put_u64_le(0);
-        assert!(decode_histogram(buf.freeze()).is_err());
-    }
-
-    #[test]
-    fn round_trip_preserves_bounds() {
-        let h = sample();
-        assert_eq!(h.bounds().len(), h.num_buckets());
-        let decoded = decode_histogram(encode_histogram(&h)).unwrap();
-        assert_eq!(h.bounds(), decoded.bounds());
-    }
-
-    #[test]
-    fn retired_voh1_magic_gets_typed_rejection() {
-        let mut bytes = encode_histogram(&sample()).to_vec();
-        bytes[3] = b'1';
-        match decode_histogram(Bytes::from(bytes)) {
-            Err(StoreError::UnsupportedSnapshot { found, supported }) => {
-                assert_eq!(found, "VOH1");
-                assert_eq!(supported, "VOH3");
-            }
-            other => panic!("expected UnsupportedSnapshot, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_bounds_rejected() {
-        // Corrupt a span so lo >= hi: flip the hi of the last bucket to 0.
-        let h = sample();
-        let mut bytes = encode_histogram(&h).to_vec();
-        let tail = h.num_buckets() * 24;
-        let hi_off = bytes.len() - tail + 8; // first bucket's hi
-        bytes[hi_off..hi_off + 8].fill(0);
-        assert!(matches!(
-            decode_histogram(Bytes::from(bytes)),
-            Err(StoreError::InvalidParameter(_))
-        ));
-    }
-
-    fn sample_2d() -> StoredMatrixHistogram {
-        use freqdist::FreqMatrix;
-        use vopt_hist::construct::v_opt_end_biased;
-        use vopt_hist::MatrixHistogram;
-        let m = FreqMatrix::from_rows(2, 3, vec![90, 5, 6, 4, 5, 70]).unwrap();
-        let mh = MatrixHistogram::build(&m, |c| Ok(v_opt_end_biased(c, 3)?.histogram)).unwrap();
-        StoredMatrixHistogram::from_matrix_histogram(&[10, 20], &[1, 2, 3], &mh).unwrap()
-    }
-
-    #[test]
-    fn matrix_round_trip() {
-        let h = sample_2d();
-        let decoded = decode_matrix_histogram(encode_matrix_histogram(&h)).unwrap();
-        assert_eq!(h, decoded);
-        for (a, b) in [(10u64, 1u64), (10, 2), (20, 3), (7, 7)] {
-            assert_eq!(h.approx_frequency(a, b), decoded.approx_frequency(a, b));
-        }
-    }
-
-    #[test]
-    fn matrix_magic_is_distinct_from_1d() {
-        let h1 = sample();
-        let h2 = sample_2d();
-        assert!(decode_matrix_histogram(encode_histogram(&h1)).is_err());
-        assert!(decode_histogram(encode_matrix_histogram(&h2)).is_err());
-    }
-
-    #[test]
-    fn matrix_truncation_rejected() {
-        let bytes = encode_matrix_histogram(&sample_2d()).to_vec();
-        for cut in [0usize, 3, 7, bytes.len() - 1] {
-            assert!(decode_matrix_histogram(Bytes::copy_from_slice(&bytes[..cut])).is_err());
-        }
-    }
-
-    #[test]
-    fn retired_catalog_magic_gets_typed_rejection() {
-        let catalog = crate::catalog::Catalog::new();
-        catalog.put(crate::catalog::StatKey::new("r", &["a"]), sample());
-        for retired in ["VOHC", "VOHD", "VOHE", "VOHF"] {
-            // Re-stamp the magic and recompute the checksum so the blob
-            // is exactly what an authentic old writer would produce.
-            let mut bytes = encode_catalog(&catalog).to_vec();
-            bytes[..4].copy_from_slice(retired.as_bytes());
-            let body_len = bytes.len() - 8;
-            let checksum = catalog_checksum(&bytes[..body_len]);
-            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-            match decode_catalog(Bytes::from(bytes)) {
-                Err(StoreError::UnsupportedSnapshot { found, supported }) => {
-                    assert_eq!(found, retired);
-                    assert_eq!(supported, "VOHG");
-                }
-                other => panic!("{retired}: expected UnsupportedSnapshot, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn unsorted_exceptions_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u64_le(1);
-        buf.put_u64_le(2);
-        buf.put_u32_le(0);
-        buf.put_u64_le(2);
-        buf.put_u64_le(10);
-        buf.put_u32_le(1);
-        buf.put_u64_le(5); // decreasing
-        buf.put_u32_le(1);
-        assert!(decode_histogram(buf.freeze()).is_err());
-    }
-}
-
 /// Encodes a builder spec as a one-byte tag plus parameters. Tag 0 is
 /// "unrecorded" (raw `put`s); every other tag mirrors a
 /// [`BuilderSpec`] variant.
@@ -613,4 +434,183 @@ pub fn decode_catalog(mut data: Bytes) -> Result<crate::catalog::Catalog> {
         )));
     }
     Ok(catalog)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vopt_hist::construct::end_biased;
+
+    fn sample() -> StoredHistogram {
+        let freqs = [90u64, 10, 9, 8, 2, 7];
+        let hist = end_biased(&freqs, 2, 1).unwrap();
+        let values: Vec<u64> = (0..6).map(|i| i * 100).collect();
+        StoredHistogram::from_histogram(&values, &hist).unwrap()
+    }
+
+    #[test]
+    fn round_trip() {
+        let h = sample();
+        let encoded = encode_histogram(&h);
+        let decoded = decode_histogram(encoded).unwrap();
+        assert_eq!(h, decoded);
+    }
+
+    #[test]
+    fn round_trip_preserves_estimates() {
+        let h = sample();
+        let decoded = decode_histogram(encode_histogram(&h)).unwrap();
+        for v in [0u64, 100, 200, 300, 400, 500, 12345] {
+            assert_eq!(h.approx_frequency(v), decoded.approx_frequency(v));
+        }
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut bytes = encode_histogram(&sample()).to_vec();
+        bytes[0] = b'X';
+        assert!(matches!(
+            decode_histogram(Bytes::from(bytes)),
+            Err(StoreError::Codec(_))
+        ));
+    }
+
+    #[test]
+    fn truncation_rejected_at_every_boundary() {
+        let bytes = encode_histogram(&sample()).to_vec();
+        for cut in 0..bytes.len() {
+            let truncated = Bytes::copy_from_slice(&bytes[..cut]);
+            assert!(
+                decode_histogram(truncated).is_err(),
+                "cut at {cut} decoded successfully"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_garbage_rejected() {
+        let mut bytes = encode_histogram(&sample()).to_vec();
+        bytes.push(0);
+        assert!(decode_histogram(Bytes::from(bytes)).is_err());
+    }
+
+    #[test]
+    fn out_of_range_default_bucket_rejected() {
+        // Hand-craft: 1 bucket, default id 7.
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(1);
+        buf.put_u64_le(42);
+        buf.put_u32_le(7);
+        buf.put_u64_le(0);
+        assert!(decode_histogram(buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn round_trip_preserves_bounds() {
+        let h = sample();
+        assert_eq!(h.bounds().len(), h.num_buckets());
+        let decoded = decode_histogram(encode_histogram(&h)).unwrap();
+        assert_eq!(h.bounds(), decoded.bounds());
+    }
+
+    #[test]
+    fn retired_voh1_magic_gets_typed_rejection() {
+        let mut bytes = encode_histogram(&sample()).to_vec();
+        bytes[3] = b'1';
+        match decode_histogram(Bytes::from(bytes)) {
+            Err(StoreError::UnsupportedSnapshot { found, supported }) => {
+                assert_eq!(found, "VOH1");
+                assert_eq!(supported, "VOH3");
+            }
+            other => panic!("expected UnsupportedSnapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_bounds_rejected() {
+        // Corrupt a span so lo >= hi: flip the hi of the last bucket to 0.
+        let h = sample();
+        let mut bytes = encode_histogram(&h).to_vec();
+        let tail = h.num_buckets() * 24;
+        let hi_off = bytes.len() - tail + 8; // first bucket's hi
+        bytes[hi_off..hi_off + 8].fill(0);
+        assert!(matches!(
+            decode_histogram(Bytes::from(bytes)),
+            Err(StoreError::InvalidParameter(_))
+        ));
+    }
+
+    fn sample_2d() -> StoredMatrixHistogram {
+        use freqdist::FreqMatrix;
+        use vopt_hist::construct::v_opt_end_biased;
+        use vopt_hist::MatrixHistogram;
+        let m = FreqMatrix::from_rows(2, 3, vec![90, 5, 6, 4, 5, 70]).unwrap();
+        let mh = MatrixHistogram::build(&m, |c| Ok(v_opt_end_biased(c, 3)?.histogram)).unwrap();
+        StoredMatrixHistogram::from_matrix_histogram(&[10, 20], &[1, 2, 3], &mh).unwrap()
+    }
+
+    #[test]
+    fn matrix_round_trip() {
+        let h = sample_2d();
+        let decoded = decode_matrix_histogram(encode_matrix_histogram(&h)).unwrap();
+        assert_eq!(h, decoded);
+        for (a, b) in [(10u64, 1u64), (10, 2), (20, 3), (7, 7)] {
+            assert_eq!(h.approx_frequency(a, b), decoded.approx_frequency(a, b));
+        }
+    }
+
+    #[test]
+    fn matrix_magic_is_distinct_from_1d() {
+        let h1 = sample();
+        let h2 = sample_2d();
+        assert!(decode_matrix_histogram(encode_histogram(&h1)).is_err());
+        assert!(decode_histogram(encode_matrix_histogram(&h2)).is_err());
+    }
+
+    #[test]
+    fn matrix_truncation_rejected() {
+        let bytes = encode_matrix_histogram(&sample_2d()).to_vec();
+        for cut in [0usize, 3, 7, bytes.len() - 1] {
+            assert!(decode_matrix_histogram(Bytes::copy_from_slice(&bytes[..cut])).is_err());
+        }
+    }
+
+    #[test]
+    fn retired_catalog_magic_gets_typed_rejection() {
+        let catalog = crate::catalog::Catalog::new();
+        catalog.put(crate::catalog::StatKey::new("r", &["a"]), sample());
+        for retired in ["VOHC", "VOHD", "VOHE", "VOHF"] {
+            // Re-stamp the magic and recompute the checksum so the blob
+            // is exactly what an authentic old writer would produce.
+            let mut bytes = encode_catalog(&catalog).to_vec();
+            bytes[..4].copy_from_slice(retired.as_bytes());
+            let body_len = bytes.len() - 8;
+            let checksum = catalog_checksum(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            match decode_catalog(Bytes::from(bytes)) {
+                Err(StoreError::UnsupportedSnapshot { found, supported }) => {
+                    assert_eq!(found, retired);
+                    assert_eq!(supported, "VOHG");
+                }
+                other => panic!("{retired}: expected UnsupportedSnapshot, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_exceptions_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(2);
+        buf.put_u64_le(1);
+        buf.put_u64_le(2);
+        buf.put_u32_le(0);
+        buf.put_u64_le(2);
+        buf.put_u64_le(10);
+        buf.put_u32_le(1);
+        buf.put_u64_le(5); // decreasing
+        buf.put_u32_le(1);
+        assert!(decode_histogram(buf.freeze()).is_err());
+    }
 }

@@ -12,7 +12,10 @@
 /// Applies `f` to every item, in parallel, preserving order.
 ///
 /// Spawns at most `max_threads` scoped workers (clamped to the item
-/// count). Panics in workers propagate.
+/// count). Panics in workers propagate. Workers capture each item's
+/// trace events and the calling thread publishes them in item order
+/// after the join, so the trace's global sequence does not depend on
+/// which worker ran first.
 pub fn par_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -27,21 +30,25 @@ where
     if threads == 1 {
         return items.iter().map(&f).collect();
     }
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut out: Vec<Option<(R, obs::trace::Captured)>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
     crossbeam::thread::scope(|scope| {
         let f = &f;
         for (item_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move |_| {
                 for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
+                    *slot = Some(obs::trace::capture(|| f(item)));
                 }
             });
         }
     })
     .expect("worker panicked");
     out.into_iter()
-        .map(|r| r.expect("every slot was filled by its chunk's worker"))
+        .map(|slot| {
+            let (r, events) = slot.expect("every slot was filled by its chunk's worker");
+            obs::trace::publish(events);
+            r
+        })
         .collect()
 }
 

@@ -99,10 +99,9 @@ pub struct FrequencyMatrixTable {
 /// Algorithm *Matrix* for one attribute: a single scan with a hash-table
 /// counter.
 pub fn frequency_table(relation: &Relation, column: &str) -> Result<FrequencyTable> {
-    let span = obs::span("frequency_table");
+    let _span = obs::span("frequency_table");
     let col = relation.column_by_name(column)?;
     obs::counter("relstore_scan_rows_total").add(col.len() as u64);
-    span.record("rows", col.len());
     let mut counts: FxHashMap<u64, u64> = fx_map_with_capacity(col.len().min(1 << 16));
     for &v in col {
         *counts.entry(v).or_insert(0) += 1;
@@ -123,11 +122,10 @@ pub fn frequency_matrix_table(
     first: &str,
     second: &str,
 ) -> Result<FrequencyMatrixTable> {
-    let span = obs::span("frequency_matrix_table");
+    let _span = obs::span("frequency_matrix_table");
     let a = relation.column_by_name(first)?;
     let b = relation.column_by_name(second)?;
     obs::counter("relstore_scan_rows_total").add(a.len() as u64);
-    span.record("rows", a.len());
     let mut counts: FxHashMap<(u64, u64), u64> = fx_map_with_capacity(a.len().min(1 << 16));
     for (&x, &y) in a.iter().zip(b) {
         *counts.entry((x, y)).or_insert(0) += 1;

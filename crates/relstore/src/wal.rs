@@ -800,7 +800,7 @@ impl DurableCatalog {
     /// Durable feedback tune: computes the bounded, mass-conserving
     /// update one (estimate, actual) observation implies for `key`
     /// ([`Catalog::compute_tune`]), journals the tuned histogram as a
-    /// [`TAG_TUNE`] record, and applies it — so tuned state survives
+    /// `TAG_TUNE` record, and applies it — so tuned state survives
     /// crash recovery exactly like an ANALYZE store. The outer `Result`
     /// is "entry exists and the journal accepted the record"; the inner
     /// one is the tuner's applied-or-skipped verdict, with skips
