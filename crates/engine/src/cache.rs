@@ -14,13 +14,15 @@
 //!   order and the reported [`StatsUse`] sequence follows the same
 //!   order, so two spellings of one query are distinct cache entries
 //!   rather than a source of bit-level divergence.
-//! * The **epoch** comes from the [`CatalogSnapshot`] the estimate was
+//! * The **epoch** comes from the [`CatalogSnapshot`] the estimate is
 //!   computed against. Every catalog mutation bumps the epoch, so an
 //!   entry from an older catalog state simply never matches again —
-//!   invalidation costs nothing and a stale-epoch hit is impossible by
-//!   construction: a hit requires `stored epoch == requested epoch`,
-//!   and the requested epoch is read from the very snapshot the caller
-//!   would otherwise compute on.
+//!   invalidation costs nothing. A hit requires `stored epoch ==
+//!   requested epoch`, and the requested epoch can only come from the
+//!   snapshot the caller computes on: [`CacheKey::new`] is the key's
+//!   one constructor and takes that snapshot, so a key built from a
+//!   re-read of the live catalog (which could race a mutation between
+//!   the read and the probe) cannot be written.
 //!
 //! The cache is sharded by fingerprint; each shard is a small
 //! mutex-guarded map with least-recently-used eviction. Shard locks are
@@ -34,12 +36,13 @@
 use crate::ast::Query;
 use crate::ladder::StatsUse;
 use parking_lot::Mutex;
+use relstore::CatalogSnapshot;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default total capacity (entries across all shards).
-pub(crate) const DEFAULT_CAPACITY: usize = 1024;
+const DEFAULT_CAPACITY: usize = 1024;
 
 /// Shard count (power of two; selected by the fingerprint's high bits,
 /// the map key uses the full value).
@@ -52,25 +55,52 @@ pub(crate) fn fingerprint(query: &Query) -> u64 {
     hasher.finish()
 }
 
-/// Which shard a fingerprint maps to (the high bits; the map key uses
-/// the full value). Shared with the provenance tracer so a traced cache
-/// probe names the same shard the cache actually touched.
-pub(crate) fn shard_index(fingerprint: u64) -> u64 {
-    (fingerprint >> 32) & (SHARDS as u64 - 1)
+/// One estimate's cache key: the query fingerprint and the epoch of the
+/// snapshot the estimate is computed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheKey {
+    fingerprint: u64,
+    epoch: u64,
 }
 
-/// One memoised estimate: the value, the epoch it is valid at, and the
-/// statistics lookups that produced it (replayed on a hit so rung
-/// accounting is identical to a miss).
+impl CacheKey {
+    /// The key's only constructor: the epoch is read from the pinned
+    /// snapshot itself, never passed in.
+    pub(crate) fn new(fingerprint: u64, snap: &CatalogSnapshot) -> Self {
+        Self {
+            fingerprint,
+            epoch: snap.epoch(),
+        }
+    }
+
+    pub(crate) fn fingerprint(self) -> u64 {
+        self.fingerprint
+    }
+
+    pub(crate) fn epoch(self) -> u64 {
+        self.epoch
+    }
+
+    /// Which shard the key maps to (the fingerprint's high bits; the
+    /// map key uses the full value). A traced cache probe names it.
+    pub(crate) fn shard(self) -> u64 {
+        (self.fingerprint >> 32) & (SHARDS as u64 - 1)
+    }
+}
+
+/// One memoised estimate: the value and the statistics lookups that
+/// produced it (replayed on a hit so rung accounting is identical to a
+/// miss).
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEstimate {
-    pub(crate) epoch: u64,
     pub(crate) estimate: f64,
     pub(crate) sources: Arc<Vec<StatsUse>>,
 }
 
 #[derive(Debug)]
 struct Slot {
+    /// The epoch the entry is valid at.
+    epoch: u64,
     cached: CachedEstimate,
     last_used: u64,
 }
@@ -82,8 +112,7 @@ struct Shard {
     tick: u64,
 }
 
-/// A bounded, sharded, epoch-versioned estimate cache. Capacity 0
-/// disables it (every lookup misses, inserts are dropped).
+/// A bounded, sharded, epoch-versioned estimate cache.
 #[derive(Debug)]
 pub(crate) struct EstimationCache {
     shards: Vec<Mutex<Shard>>,
@@ -96,91 +125,58 @@ impl Default for EstimationCache {
     }
 }
 
-fn hit_counter() -> &'static Arc<obs::Counter> {
-    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::counter("est_cache_hit_total"))
-}
-
-fn miss_counter() -> &'static Arc<obs::Counter> {
-    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::counter("est_cache_miss_total"))
-}
-
-fn evict_counter() -> &'static Arc<obs::Counter> {
-    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::counter("est_cache_evict_total"))
-}
-
 impl EstimationCache {
     /// A cache holding at most `capacity` entries in total (rounded up
-    /// to a multiple of the shard count; 0 disables caching).
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    /// to a multiple of the shard count).
+    fn with_capacity(capacity: usize) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: capacity.div_ceil(SHARDS),
         }
     }
 
-    fn shard_of(&self, fingerprint: u64) -> &Mutex<Shard> {
-        &self.shards[shard_index(fingerprint) as usize]
+    fn shard_of(&self, key: CacheKey) -> &Mutex<Shard> {
+        &self.shards[key.shard() as usize]
     }
 
-    /// The entry for `fingerprint` if it was computed at exactly
-    /// `epoch`; a present-but-older entry is a miss (and will be
+    /// The entry for the key's fingerprint if it was computed at exactly
+    /// the key's epoch; a present-but-older entry is a miss (and will be
     /// overwritten by the recomputation's insert).
-    pub(crate) fn get(&self, fingerprint: u64, epoch: u64) -> Option<CachedEstimate> {
-        if self.per_shard_capacity == 0 {
-            miss_counter().inc();
-            return None;
-        }
-        let mut shard = self.shard_of(fingerprint).lock();
+    pub(crate) fn get(&self, key: CacheKey) -> Option<CachedEstimate> {
+        let mut shard = self.shard_of(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.map.get_mut(&fingerprint) {
-            Some(slot) if slot.cached.epoch == epoch => {
+        match shard.map.get_mut(&key.fingerprint) {
+            Some(slot) if slot.epoch == key.epoch => {
                 slot.last_used = tick;
-                hit_counter().inc();
                 Some(slot.cached.clone())
             }
-            _ => {
-                miss_counter().inc();
-                None
-            }
+            _ => None,
         }
     }
 
     /// Memoises one computed estimate, evicting the shard's
-    /// least-recently-used entry when full.
-    pub(crate) fn insert(
-        &self,
-        fingerprint: u64,
-        epoch: u64,
-        estimate: f64,
-        sources: Arc<Vec<StatsUse>>,
-    ) {
-        if self.per_shard_capacity == 0 {
-            return;
-        }
-        let mut shard = self.shard_of(fingerprint).lock();
+    /// least-recently-used entry when full. Returns whether it evicted.
+    pub(crate) fn insert(&self, key: CacheKey, cached: CachedEstimate) -> bool {
+        let mut shard = self.shard_of(key).lock();
         shard.tick += 1;
         let tick = shard.tick;
-        if shard.map.len() >= self.per_shard_capacity && !shard.map.contains_key(&fingerprint) {
+        let mut evicted = false;
+        if shard.map.len() >= self.per_shard_capacity && !shard.map.contains_key(&key.fingerprint) {
             if let Some((&lru, _)) = shard.map.iter().min_by_key(|(_, slot)| slot.last_used) {
                 shard.map.remove(&lru);
-                evict_counter().inc();
+                evicted = true;
             }
         }
         shard.map.insert(
-            fingerprint,
+            key.fingerprint,
             Slot {
-                cached: CachedEstimate {
-                    epoch,
-                    estimate,
-                    sources,
-                },
+                epoch: key.epoch,
+                cached,
                 last_used: tick,
             },
         );
+        evicted
     }
 
     /// Drops every entry (used when the engine's non-epoch inputs —
@@ -188,8 +184,7 @@ impl EstimationCache {
     /// change).
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.map.clear();
+            shard.lock().map.clear();
         }
     }
 
@@ -204,22 +199,43 @@ impl EstimationCache {
 mod tests {
     use super::*;
     use crate::ladder::EstimateRung;
+    use relstore::Catalog;
 
-    fn sources() -> Arc<Vec<StatsUse>> {
-        Arc::new(vec![StatsUse {
-            target: "t.a".into(),
-            rung: EstimateRung::Spec,
-            tuned: false,
-        }])
+    fn entry(estimate: f64) -> CachedEstimate {
+        CachedEstimate {
+            estimate,
+            sources: Arc::new(vec![StatsUse {
+                target: "t.a".into(),
+                rung: EstimateRung::Spec,
+                tuned: false,
+            }]),
+        }
+    }
+
+    /// Snapshots of one catalog at epochs 0, 1 and 2.
+    fn snapshots() -> [Arc<CatalogSnapshot>; 3] {
+        let catalog = Catalog::new();
+        [(); 3].map(|_| {
+            let snap = catalog.read_snapshot();
+            catalog.note_updates("t", 1);
+            snap
+        })
     }
 
     #[test]
     fn hit_requires_exact_epoch() {
+        let [older, at, newer] = snapshots();
         let cache = EstimationCache::with_capacity(8);
-        cache.insert(42, 7, 1.5, sources());
-        assert!(cache.get(42, 6).is_none(), "older epoch must miss");
-        assert!(cache.get(42, 8).is_none(), "newer epoch must miss");
-        let hit = cache.get(42, 7).expect("exact epoch hits");
+        assert!(!cache.insert(CacheKey::new(42, &at), entry(1.5)));
+        assert!(
+            cache.get(CacheKey::new(42, &older)).is_none(),
+            "older epoch must miss"
+        );
+        assert!(
+            cache.get(CacheKey::new(42, &newer)).is_none(),
+            "newer epoch must miss"
+        );
+        let hit = cache.get(CacheKey::new(42, &at)).expect("exact epoch hits");
         assert_eq!(hit.estimate, 1.5);
         assert_eq!(hit.sources.len(), 1);
     }
@@ -227,38 +243,32 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_fingerprint() {
         // One shard's worth of keys: same high bits, distinct values.
+        let [snap, _, _] = snapshots();
+        let key = |fp| CacheKey::new(fp, &snap);
         let cache = EstimationCache::with_capacity(SHARDS * 2);
         assert_eq!(cache.per_shard_capacity, 2);
-        let keys = [1u64, 2, 3];
-        cache.insert(keys[0], 0, 0.0, sources());
-        cache.insert(keys[1], 0, 1.0, sources());
-        // Touch key 0 so key 1 is the LRU when key 2 arrives.
-        assert!(cache.get(keys[0], 0).is_some());
-        cache.insert(keys[2], 0, 2.0, sources());
-        assert!(cache.get(keys[1], 0).is_none(), "LRU entry evicted");
-        assert!(cache.get(keys[0], 0).is_some());
-        assert!(cache.get(keys[2], 0).is_some());
+        assert!(!cache.insert(key(1), entry(0.0)));
+        assert!(!cache.insert(key(2), entry(1.0)));
+        // Touch key 1 so key 2 is the LRU when key 3 arrives.
+        assert!(cache.get(key(1)).is_some());
+        assert!(cache.insert(key(3), entry(2.0)), "a full shard evicts");
+        assert!(cache.get(key(2)).is_none(), "LRU entry evicted");
+        assert!(cache.get(key(1)).is_some());
+        assert!(cache.get(key(3)).is_some());
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn reinserting_an_existing_fingerprint_never_evicts_others() {
+        let [first, second, _] = snapshots();
         let cache = EstimationCache::with_capacity(SHARDS * 2);
-        cache.insert(1, 0, 0.0, sources());
-        cache.insert(2, 0, 1.0, sources());
+        cache.insert(CacheKey::new(1, &first), entry(0.0));
+        cache.insert(CacheKey::new(2, &first), entry(1.0));
         // Refresh key 1 at a newer epoch: an overwrite, not an insert.
-        cache.insert(1, 1, 9.0, sources());
+        assert!(!cache.insert(CacheKey::new(1, &second), entry(9.0)));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(2, 0).is_some());
-        assert_eq!(cache.get(1, 1).unwrap().estimate, 9.0);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_cache() {
-        let cache = EstimationCache::with_capacity(0);
-        cache.insert(1, 0, 0.0, sources());
-        assert!(cache.get(1, 0).is_none());
-        assert_eq!(cache.len(), 0);
+        assert!(cache.get(CacheKey::new(2, &first)).is_some());
+        assert_eq!(cache.get(CacheKey::new(1, &second)).unwrap().estimate, 9.0);
     }
 
     #[test]

@@ -20,19 +20,21 @@
 //! a sorted value window.
 
 use crate::ast::{ColumnRef, FilterPredicate, Query};
-use crate::cache::{fingerprint, shard_index, EstimationCache};
+use crate::cache::{fingerprint, CacheKey, CachedEstimate, EstimationCache};
 use crate::error::{EngineError, Result};
 use crate::ladder::{
     uniform_filter_selectivity, EngineObs, EstimatePolicy, EstimateRung, StatsUse,
     UNIFORM_BAND_SELECTIVITY, UNIFORM_DISTINCT_DEFAULT,
 };
 use crate::parser;
+use crate::provenance::{ProvenanceRecord, StageTiming};
 use relstore::catalog::StatKey;
 use relstore::join::materialize_join;
 use relstore::stats::frequency_table;
 use relstore::{Catalog, CatalogSnapshot, Relation, Schema, StoredHistogram};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use vopt_hist::BuilderSpec;
 
 /// A registry of relations with statistics, able to execute and estimate
@@ -47,6 +49,13 @@ use vopt_hist::BuilderSpec;
 /// free, while the engine-local inputs the epoch does not cover
 /// (relations, value dictionaries, the ladder policy, the catalog handle
 /// itself) explicitly clear the cache when they change.
+///
+/// The cache is private to this crate, so every probe goes through the
+/// estimate methods and their one pipeline:
+///
+/// ```compile_fail,E0603
+/// use engine::cache::EstimationCache;
+/// ```
 #[derive(Debug, Default)]
 pub struct Engine {
     relations: HashMap<String, Relation>,
@@ -144,6 +153,40 @@ pub(crate) fn filter_target(f: &FilterPredicate) -> String {
     }
 }
 
+/// The options [`Engine::estimate_pipeline`] runs one estimate with:
+/// whether it uses the cache, and whether it collects provenance (which
+/// reports the cache outcome, so only the cached path has it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EstimateOptions {
+    /// The brute-force reference: compute on the pinned snapshot, with
+    /// no fingerprint and no probe.
+    Uncached,
+    /// Probe the cache; replay a hit, or compute and insert a miss.
+    Cached,
+    /// [`EstimateOptions::Cached`], also timing the stages into a
+    /// [`ProvenanceRecord`].
+    CachedWithProvenance,
+}
+
+/// Runs one pipeline stage, timing it into `stages` when a provenance
+/// record is being collected; otherwise no clock is read.
+fn timed<T>(
+    stages: &mut Option<Vec<StageTiming>>,
+    stage: &'static str,
+    f: impl FnOnce() -> T,
+) -> T {
+    let Some(stages) = stages else {
+        return f();
+    };
+    let start = Instant::now();
+    let out = f();
+    stages.push(StageTiming {
+        stage: stage.to_string(),
+        elapsed: start.elapsed(),
+    });
+    out
+}
+
 impl Engine {
     /// Creates an empty engine recording to the process-global
     /// [`obs::Recorder`].
@@ -151,11 +194,11 @@ impl Engine {
         Self::default()
     }
 
-    /// Creates an empty engine whose `estimate_rung_total{rung=…}`
-    /// counters and estimation trace events (`cache_probe`,
-    /// `rung_chosen`, `stats_resolved`) go to `recorder` and obey its
-    /// trace gate alone. Spans, the cache counters and quality records
-    /// stay process-global.
+    /// Creates an empty engine whose `estimate_rung_total{rung=…}` and
+    /// `est_cache_{hit,miss,evict}_total` counters and estimation trace
+    /// events (`cache_probe`, `rung_chosen`, `stats_resolved`) go to
+    /// `recorder` and obey its trace gate alone. Spans and quality
+    /// records stay process-global.
     pub fn with_recorder(recorder: Arc<obs::Recorder>) -> Self {
         Self {
             obs: EngineObs::new(recorder),
@@ -736,29 +779,7 @@ impl Engine {
     /// the ladder's rung accounting, so both the returned sources and
     /// the `estimate_rung_total` counters are identical hit vs. miss.
     pub fn estimate_with_sources(&self, query: &Query) -> Result<(f64, Vec<StatsUse>)> {
-        let _span = obs::span("estimate");
-        self.bind(query)?;
-        let snap = self.catalog.read_snapshot();
-        let fp = fingerprint(query);
-        let hit = {
-            let _span = obs::span("est_cache_lookup");
-            self.cache.get(fp, snap.epoch())
-        };
-        self.obs
-            .recorder()
-            .cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
-        if let Some(hit) = hit {
-            let mut sources = Vec::with_capacity(hit.sources.len());
-            for s in hit.sources.iter() {
-                self.obs
-                    .record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
-            }
-            return Ok((hit.estimate, sources));
-        }
-        let _span = obs::span("est_compute");
-        let (estimate, sources) = self.estimate_on(&snap, query)?;
-        self.cache
-            .insert(fp, snap.epoch(), estimate, Arc::new(sources.clone()));
+        let (estimate, sources, _) = self.estimate_pipeline(query, EstimateOptions::Cached)?;
         Ok((estimate, sources))
     }
 
@@ -768,75 +789,81 @@ impl Engine {
     /// timings. Estimation behaviour is identical: same snapshot
     /// pinning, same cache probe and insert, same [`StatsUse`]
     /// accounting; only the audit record is added.
-    ///
-    /// [`ProvenanceRecord`]: crate::provenance::ProvenanceRecord
     pub fn estimate_with_provenance(
         &self,
         query: &Query,
-    ) -> Result<(f64, Vec<StatsUse>, crate::provenance::ProvenanceRecord)> {
-        use crate::provenance::{ProvenanceRecord, StageTiming};
-        use std::time::Instant;
-        let _span = obs::span("estimate");
-        let t_bind = Instant::now();
-        self.bind(query)?;
-        let bind_elapsed = t_bind.elapsed();
-        let snap = self.catalog.read_snapshot();
-        let fp = fingerprint(query);
-        let t_lookup = Instant::now();
-        let hit = {
-            let _span = obs::span("est_cache_lookup");
-            self.cache.get(fp, snap.epoch())
-        };
-        self.obs
-            .recorder()
-            .cache_probe(hit.is_some(), shard_index(fp), snap.epoch());
-        let lookup_elapsed = t_lookup.elapsed();
-        let cache_hit = hit.is_some();
-        let t_answer = Instant::now();
-        let (estimate, sources) = if let Some(hit) = hit {
-            let mut sources = Vec::with_capacity(hit.sources.len());
-            for s in hit.sources.iter() {
-                self.obs
-                    .record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
-            }
-            (hit.estimate, sources)
-        } else {
-            let _span = obs::span("est_compute");
-            let (estimate, sources) = self.estimate_on(&snap, query)?;
-            self.cache
-                .insert(fp, snap.epoch(), estimate, Arc::new(sources.clone()));
-            (estimate, sources)
-        };
-        let stages = vec![
-            StageTiming {
-                stage: "bind".to_string(),
-                elapsed: bind_elapsed,
-            },
-            StageTiming {
-                stage: "cache_lookup".to_string(),
-                elapsed: lookup_elapsed,
-            },
-            StageTiming {
-                stage: if cache_hit { "replay" } else { "compute" }.to_string(),
-                elapsed: t_answer.elapsed(),
-            },
-        ];
-        let record = ProvenanceRecord::build(&snap, fp, cache_hit, &sources, stages);
-        Ok((estimate, sources, record))
+    ) -> Result<(f64, Vec<StatsUse>, ProvenanceRecord)> {
+        let (estimate, sources, record) =
+            self.estimate_pipeline(query, EstimateOptions::CachedWithProvenance)?;
+        Ok((estimate, sources, record.expect("provenance was requested")))
     }
 
     /// Like [`Engine::estimate_with_sources`] but bypassing the
     /// estimation cache entirely — the brute-force reference path the
     /// equivalence tests and the bench harness compare against.
     pub fn estimate_with_sources_uncached(&self, query: &Query) -> Result<(f64, Vec<StatsUse>)> {
-        let _span = obs::span("estimate");
-        self.bind(query)?;
-        let snap = self.catalog.read_snapshot();
-        self.estimate_on(&snap, query)
+        let (estimate, sources, _) = self.estimate_pipeline(query, EstimateOptions::Uncached)?;
+        Ok((estimate, sources))
     }
 
-    /// Computes the estimate against one pinned snapshot (the shared
-    /// body of the cached and uncached paths).
+    /// The one estimation read path behind the public estimate methods:
+    /// bind, pin one snapshot, then either compute on it (uncached) or
+    /// build the snapshot's [`CacheKey`], probe, and replay a hit or
+    /// compute and insert a miss. Probe and insert use the same key, so
+    /// both are keyed by the epoch of the snapshot the estimate reads.
+    fn estimate_pipeline(
+        &self,
+        query: &Query,
+        opts: EstimateOptions,
+    ) -> Result<(f64, Vec<StatsUse>, Option<ProvenanceRecord>)> {
+        let _span = obs::span("estimate");
+        let mut stages =
+            (opts == EstimateOptions::CachedWithProvenance).then(|| Vec::with_capacity(3));
+        timed(&mut stages, "bind", || self.bind(query))?;
+        let snap = self.catalog.read_snapshot();
+        if opts == EstimateOptions::Uncached {
+            let (estimate, sources) = self.estimate_on(&snap, query)?;
+            return Ok((estimate, sources, None));
+        }
+        let key = CacheKey::new(fingerprint(query), &snap);
+        let hit = timed(&mut stages, "cache_lookup", || {
+            let hit = {
+                let _span = obs::span("est_cache_lookup");
+                self.cache.get(key)
+            };
+            self.obs.cache_probe(key, hit.is_some());
+            hit
+        });
+        let cache_hit = hit.is_some();
+        let (estimate, sources) = match hit {
+            Some(hit) => timed(&mut stages, "replay", || {
+                let mut sources = Vec::with_capacity(hit.sources.len());
+                for s in hit.sources.iter() {
+                    self.obs
+                        .record_stats_use(&mut sources, s.target.clone(), s.rung, s.tuned);
+                }
+                (hit.estimate, sources)
+            }),
+            None => timed(&mut stages, "compute", || -> Result<_> {
+                let _span = obs::span("est_compute");
+                let (estimate, sources) = self.estimate_on(&snap, query)?;
+                let cached = CachedEstimate {
+                    estimate,
+                    sources: Arc::new(sources.clone()),
+                };
+                if self.cache.insert(key, cached) {
+                    self.obs.cache_evicted();
+                }
+                Ok((estimate, sources))
+            })?,
+        };
+        let provenance = stages.map(|stages| {
+            ProvenanceRecord::build(&snap, key.fingerprint(), cache_hit, &sources, stages)
+        });
+        Ok((estimate, sources, provenance))
+    }
+
+    /// Computes the estimate against one pinned snapshot.
     fn estimate_on(&self, snap: &CatalogSnapshot, query: &Query) -> Result<(f64, Vec<StatsUse>)> {
         let mut sources = Vec::new();
         // Base cardinalities and filter selectivities.
@@ -1135,16 +1162,36 @@ mod tests {
         let (_, computed) = e.estimate_with_sources(&q).unwrap();
         let (_, replayed) = e.estimate_with_sources(&q).unwrap();
         assert_eq!(replayed, computed);
-        let snap = e.catalog.read_snapshot();
-        let fp = fingerprint(&q);
-        let cached = e
-            .cache
-            .get(fp, snap.epoch())
-            .expect("second estimate was a hit");
+        let key = CacheKey::new(fingerprint(&q), &e.catalog.read_snapshot());
+        let cached = e.cache.get(key).expect("second estimate was a hit");
         assert_eq!(replayed.len(), 2);
         for (r, c) in replayed.iter().zip(cached.sources.iter()) {
             assert!(Arc::ptr_eq(&r.target, &c.target), "{} was copied", r.target);
         }
+    }
+
+    #[test]
+    fn cache_counters_move_on_the_engines_recorder() {
+        let recorder = Arc::new(obs::Recorder::new());
+        let mut e = Engine::with_recorder(Arc::clone(&recorder));
+        let f0 = zipf_frequencies(200, 10, 1.0).unwrap();
+        e.register(relation_from_frequency_set("r0", "a", &f0, 1).unwrap());
+        e.analyze_all(5).unwrap();
+        // More distinct queries than the cache holds: the later misses
+        // evict.
+        let queries = 1200;
+        for v in 0..queries {
+            let sql = format!("SELECT COUNT(*) FROM r0 WHERE r0.a = {v}");
+            e.estimate(&e.parse(&sql).unwrap()).unwrap();
+        }
+        let q = e
+            .parse("SELECT COUNT(*) FROM r0 WHERE r0.a = 1199")
+            .unwrap();
+        e.estimate(&q).unwrap();
+        let count = |name| recorder.registry().counter(name).get();
+        assert_eq!(count("est_cache_miss_total"), queries);
+        assert_eq!(count("est_cache_hit_total"), 1);
+        assert!(count("est_cache_evict_total") >= queries - 1024);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! visible.
 
 use crate::ast::FilterOp;
+use crate::cache::CacheKey;
 use std::sync::Arc;
 
 /// Which rung of the degradation ladder answered a statistics lookup.
@@ -101,39 +102,59 @@ pub struct StatsUse {
 }
 
 /// An engine's handle on its [`obs::Recorder`]: the recorder (whose
-/// trace gate the estimation path's events obey) and its four
-/// `estimate_rung_total{rung=…}` counters, resolved once per engine.
-/// Formatting the labeled name and probing the registry both allocate;
-/// the estimation hot path (and especially cache-hit replay) pays only
-/// an atomic increment.
+/// trace gate the estimation path's events obey), its four
+/// `estimate_rung_total{rung=…}` counters and its three
+/// `est_cache_{hit,miss,evict}_total` counters, resolved once per
+/// engine. Formatting the labeled name and probing the registry both
+/// allocate; the estimation hot path (and especially cache-hit replay)
+/// pays only an atomic increment.
 #[derive(Debug)]
 pub(crate) struct EngineObs {
     recorder: Arc<obs::Recorder>,
     /// Indexed by `EstimateRung as usize`, i.e. ladder order.
     rung_counters: [Arc<obs::Counter>; 4],
+    cache_hits: Arc<obs::Counter>,
+    cache_misses: Arc<obs::Counter>,
+    cache_evictions: Arc<obs::Counter>,
 }
 
 impl EngineObs {
     pub(crate) fn new(recorder: Arc<obs::Recorder>) -> Self {
+        let registry = recorder.registry();
         let rung_counters = [
             EstimateRung::Spec,
             EstimateRung::EndBiased,
             EstimateRung::Trivial,
             EstimateRung::Uniform,
         ]
-        .map(|rung| {
-            recorder
-                .registry()
-                .counter(&obs::labeled("estimate_rung_total", "rung", rung.name()))
-        });
+        .map(|rung| registry.counter(&obs::labeled("estimate_rung_total", "rung", rung.name())));
         Self {
-            recorder,
             rung_counters,
+            cache_hits: registry.counter("est_cache_hit_total"),
+            cache_misses: registry.counter("est_cache_miss_total"),
+            cache_evictions: registry.counter("est_cache_evict_total"),
+            recorder,
         }
     }
 
     pub(crate) fn recorder(&self) -> &Arc<obs::Recorder> {
         &self.recorder
+    }
+
+    /// Records one estimation-cache probe: its hit or miss counter and
+    /// its `cache_probe` trace event, naming the key's shard and epoch.
+    pub(crate) fn cache_probe(&self, key: CacheKey, hit: bool) {
+        if hit {
+            self.cache_hits.inc();
+        } else {
+            self.cache_misses.inc();
+        }
+        self.recorder.cache_probe(hit, key.shard(), key.epoch());
+    }
+
+    /// Records that a cache insert evicted the least-recently-used entry.
+    pub(crate) fn cache_evicted(&self) {
+        self.cache_evictions.inc();
     }
 
     /// Records one *answered* statistics lookup: bumps its
@@ -164,7 +185,7 @@ impl EngineObs {
 
 impl Default for EngineObs {
     /// The process-global recorder, so `histctl metrics`/`trace` see the
-    /// engine's rung counters and events.
+    /// engine's rung and cache counters and its events.
     fn default() -> Self {
         Self::new(Arc::clone(obs::Recorder::global()))
     }

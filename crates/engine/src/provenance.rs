@@ -11,9 +11,9 @@
 //! estimate" is always answerable.
 //!
 //! This is deliberately a *value*, separate from the flight recorder in
-//! `obs::trace`: the recorder is a process-wide ring of events for
-//! post-hoc timelines, while the record here travels with the result it
-//! describes.
+//! `obs::trace`: the recorder keeps bounded per-thread logs of events
+//! for post-hoc timelines, gated by the engine's `obs::Recorder`, while
+//! the record here travels with the result it describes.
 //!
 //! [`Engine::estimate_with_provenance`]: crate::engine::Engine::estimate_with_provenance
 
@@ -52,7 +52,8 @@ pub struct StageTiming {
     /// Stage name (`bind`, `cache_lookup`, `compute`, `replay`, or a
     /// plan-step description from `explain_analyze`).
     pub stage: String,
-    /// Wall time the stage took (zero when span recording is disabled).
+    /// Wall time the stage took (for a plan step, zero when span
+    /// recording is disabled).
     pub elapsed: Duration,
 }
 

@@ -92,12 +92,32 @@ fn build_engine(left: &[u64], right: &[u64], seed: u64) -> (Engine, Vec<Query>) 
 }
 
 /// Asserts the cache contract for one query right now: uncached,
-/// cold-or-warm cached, and guaranteed-warm cached all agree bitwise.
+/// cold-or-warm cached, and guaranteed-warm cached all agree bitwise,
+/// through both `estimate_with_sources` and `estimate_with_provenance`.
+/// The provenance record names the epoch of the snapshot the estimate
+/// was pinned to, and reports the guaranteed-warm probe as a hit.
 fn assert_transparent(eng: &Engine, query: &Query, context: &str) {
     let (base, base_src) = eng
         .estimate_with_sources_uncached(query)
         .expect("uncached estimate");
+    let epoch = eng.catalog().read_snapshot().epoch();
     for phase in ["first cached", "warm cached"] {
+        let (est, src, record) = eng
+            .estimate_with_provenance(query)
+            .expect("provenance estimate");
+        assert_eq!(
+            est.to_bits(),
+            base.to_bits(),
+            "{context}: {phase} provenance estimate diverged ({est} vs {base})"
+        );
+        assert_eq!(
+            src, base_src,
+            "{context}: {phase} provenance trail diverged"
+        );
+        assert_eq!(record.epoch, epoch, "{context}: {phase} provenance epoch");
+        if phase == "warm cached" {
+            assert!(record.cache_hit, "{context}: warm provenance probe missed");
+        }
         let (est, src) = eng.estimate_with_sources(query).expect("cached estimate");
         assert_eq!(
             est.to_bits(),

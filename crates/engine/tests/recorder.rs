@@ -1,5 +1,5 @@
-//! An engine records its rung counters and estimation trace events to
-//! the recorder it was built with. This file holds a single test so that
+//! An engine records its rung counters, cache counters and estimation
+//! trace events to the recorder it was built with. This file holds a single test so that
 //! nothing else in its process moves the global counters it compares.
 
 use engine::Engine;
@@ -17,6 +17,16 @@ fn rung_totals(recorder: &Recorder) -> [u64; 4] {
             .counter(&obs::labeled("estimate_rung_total", "rung", r))
             .get()
     })
+}
+
+const CACHE: [&str; 3] = [
+    "est_cache_hit_total",
+    "est_cache_miss_total",
+    "est_cache_evict_total",
+];
+
+fn cache_totals(recorder: &Recorder) -> [u64; 3] {
+    CACHE.map(|c| recorder.registry().counter(c).get())
 }
 
 /// `t` is analyzed (its lookups answer from `spec`); `u` is not (its
@@ -56,12 +66,15 @@ fn rung_counters_and_events_go_to_the_engines_recorder() {
         .parse("SELECT COUNT(*) FROM u WHERE u.a = 0")
         .unwrap();
     let global_before = rung_totals(global);
+    let global_cache_before = cache_totals(global);
     obs::trace::drain_thread();
     engine.estimate(&on_t).unwrap(); // miss
     engine.estimate(&on_t).unwrap(); // hit, replayed through the counters
     engine.estimate(&on_u).unwrap();
     assert_eq!(rung_totals(&private), [2, 0, 0, 1]);
+    assert_eq!(cache_totals(&private), [1, 2, 0], "hits, misses, evictions");
     assert_eq!(rung_totals(global), global_before);
+    assert_eq!(cache_totals(global), global_cache_before);
     assert!(estimation_events(&obs::trace::drain_thread()) > 0);
 
     // Its trace gate is its own: closed, it silences the engine even
@@ -76,9 +89,11 @@ fn rung_counters_and_events_go_to_the_engines_recorder() {
     obs::trace::set_trace_enabled(true);
     assert!(estimation_events(&obs::trace::drain_thread()) > 0);
     assert_eq!(rung_totals(global), global_before);
+    assert_eq!(cache_totals(global), global_cache_before);
 
     // A default engine still records to the process-global recorder: its
-    // counters move and its events reach the global drain.
+    // rung and cache counters move (`histctl bench` and perfbench read
+    // the cache counters there) and its events reach the global drain.
     let mut engine = Engine::new();
     engine_on(&mut engine);
     let on_t = engine
@@ -90,6 +105,10 @@ fn rung_counters_and_events_go_to_the_engines_recorder() {
     let after = rung_totals(global);
     assert_eq!(after[0], global_before[0] + 2, "spec counter");
     assert_eq!(after[1..], global_before[1..]);
+    let cache_after = cache_totals(global);
+    assert_eq!(cache_after[0], global_cache_before[0] + 1, "hit counter");
+    assert_eq!(cache_after[1], global_cache_before[1] + 1, "miss counter");
+    assert_eq!(cache_after[2], global_cache_before[2], "evict counter");
     let events = obs::trace::jsonl(&obs::trace::drain());
     assert!(events.contains(r#""event":"cache_miss""#), "{events}");
     assert!(events.contains(r#""event":"cache_hit""#), "{events}");

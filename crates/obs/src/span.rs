@@ -7,7 +7,9 @@
 //! the one event sink. Nesting is tracked per thread: a span opened
 //! while another is active gets the dotted concatenation of its
 //! ancestors' names as its path, so `engine.query` containing
-//! `estimate` records as `engine.query.estimate`.
+//! `estimate` records as `engine.query.estimate`. Another thread can
+//! open spans under this thread's innermost one by running
+//! [`within`] the handle [`current`] returns, as fork-join workers do.
 //!
 //! # Interned paths
 //!
@@ -106,6 +108,33 @@ fn intern(parent: Option<&'static SpanNode>, name: &'static str) -> &'static Spa
 /// The dotted path of the currently open spans (empty when none).
 pub fn current_path() -> &'static str {
     CURRENT.get().map_or("", |n| n.path)
+}
+
+/// A thread's innermost open span, as a handle another thread can run
+/// [`within`]. Span nodes live forever, so the handle is `Copy` and
+/// `Send`.
+#[derive(Clone, Copy)]
+pub struct SpanParent(Option<&'static SpanNode>);
+
+/// The innermost open span on this thread (none when no span is open).
+pub fn current() -> SpanParent {
+    SpanParent(CURRENT.get())
+}
+
+/// Runs `f` with `parent` as this thread's innermost open span, so the
+/// spans `f` opens get the paths they would get on `parent`'s own
+/// thread. A fork-join worker runs its items within the caller's span,
+/// so a span's path does not depend on which thread ran it.
+pub fn within<R>(parent: SpanParent, f: impl FnOnce() -> R) -> R {
+    /// Puts the thread's own span back, even if `f` panics.
+    struct Restore(Option<&'static SpanNode>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.set(self.0);
+        }
+    }
+    let _restore = Restore(CURRENT.replace(parent.0));
+    f()
 }
 
 /// RAII guard for an open span. Recording happens on drop or

@@ -38,10 +38,11 @@
 //! of every recorder land in the emitting thread's ring:
 //! [`drain`] takes every thread's, [`drain_thread`] only the caller's.
 //!
-//! Only this module constructs [`TraceKind`] values: other crates call
-//! the typed helpers ([`Recorder::cache_probe`], [`Recorder::rung_chosen`],
-//! [`wal_append`], …), which keeps the event schema in one place. CI greps for
-//! `TraceKind::` outside `crates/obs` to hold that line.
+//! Only this crate constructs [`TraceKind`] values: every variant is
+//! `#[non_exhaustive]`, so other crates call the typed helpers
+//! ([`Recorder::cache_probe`], [`Recorder::rung_chosen`], [`wal_append`],
+//! …), which keeps the event schema in one place. They may still match
+//! on events they read back.
 //!
 //! Exporters: [`jsonl`] (the `histctl-trace-v1` schema, one event per
 //! line after a header) and [`chrome`] (the Chrome `trace_event` JSON
@@ -63,17 +64,23 @@ pub const THREAD_RING_CAPACITY: usize = 32_768;
 /// Events kept from exited threads before the oldest are evicted.
 pub const RETIRED_CAPACITY: usize = 65_536;
 
-/// What happened. Constructed only inside `crates/obs` (enforced by a
-/// CI grep guard); other crates emit through the typed helper
-/// functions in this module.
+/// What happened. Every variant is `#[non_exhaustive]`, so only this
+/// crate can construct one; other crates emit through the typed helper
+/// functions in this module and may only read events back.
+///
+/// ```compile_fail,E0639
+/// let _ = obs::trace::TraceKind::DaemonSweep { tick: 1 };
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
     /// A span opened.
+    #[non_exhaustive]
     SpanOpen {
         /// Dotted span path, e.g. `estimate.est_compute` (interned).
         path: &'static str,
     },
     /// A span closed.
+    #[non_exhaustive]
     SpanClose {
         /// Dotted span path (interned).
         path: &'static str,
@@ -81,6 +88,7 @@ pub enum TraceKind {
         elapsed_ns: u64,
     },
     /// The estimation cache was probed.
+    #[non_exhaustive]
     CacheProbe {
         /// Whether the probe hit.
         hit: bool,
@@ -91,6 +99,7 @@ pub enum TraceKind {
     },
     /// A degradation-ladder rung answered a statistics lookup that
     /// contributes to a returned estimate.
+    #[non_exhaustive]
     Rung {
         /// The lookup target (`t.a`, or `t.a = s.b` for a join), shared
         /// with the trail entry it came from.
@@ -103,6 +112,7 @@ pub enum TraceKind {
     /// plan search's discarded candidates — this is a flight recorder,
     /// not the rung accounting (`estimate_rung_total` counts only
     /// lookups that contribute to a returned estimate).
+    #[non_exhaustive]
     StatsResolved {
         /// Catalog key display (`rel.col`).
         key: String,
@@ -114,6 +124,7 @@ pub enum TraceKind {
         staleness: u64,
     },
     /// The WAL appended journal records.
+    #[non_exhaustive]
     WalAppend {
         /// Records appended.
         records: u64,
@@ -121,16 +132,19 @@ pub enum TraceKind {
         bytes: u64,
     },
     /// The WAL checkpointed the journal into a snapshot generation.
+    #[non_exhaustive]
     WalCheckpoint {
         /// The new snapshot generation.
         generation: u64,
     },
     /// The maintenance daemon started a sweep.
+    #[non_exhaustive]
     DaemonSweep {
         /// Virtual tick of the sweep.
         tick: u64,
     },
     /// A maintenance circuit breaker changed state.
+    #[non_exhaustive]
     Breaker {
         /// Column key display (`rel(col)`).
         column: String,
@@ -138,6 +152,7 @@ pub enum TraceKind {
         state: &'static str,
     },
     /// The statistics server finished handling one wire request.
+    #[non_exhaustive]
     NetRequest {
         /// Tenant namespace the request addressed (empty for
         /// tenant-less operations such as PING or METRICS).
@@ -149,6 +164,7 @@ pub enum TraceKind {
     },
     /// The durable catalog entered or left read-only degraded mode
     /// after a durable-write failure (or a successful restore probe).
+    #[non_exhaustive]
     CatalogReadonly {
         /// Whether the catalog is now read-only.
         readonly: bool,
@@ -158,6 +174,7 @@ pub enum TraceKind {
     },
     /// A retrying client is about to re-send (or re-connect) after a
     /// transport failure.
+    #[non_exhaustive]
     ClientRetry {
         /// Wire operation being retried (`connect` for the dial phase).
         op: &'static str,
@@ -165,6 +182,7 @@ pub enum TraceKind {
         attempt: u64,
     },
     /// A per-scope EWMA Q-error crossed the drift threshold upward.
+    #[non_exhaustive]
     Drift {
         /// Quality-monitor scope.
         scope: String,
@@ -174,6 +192,7 @@ pub enum TraceKind {
         threshold: f64,
     },
     /// A feedback tune step was journaled and applied to a histogram.
+    #[non_exhaustive]
     TuneApplied {
         /// Catalog key display (`rel(col)`).
         key: String,
@@ -183,6 +202,7 @@ pub enum TraceKind {
         qerror_post: f64,
     },
     /// A feedback tune step was evaluated but changed nothing.
+    #[non_exhaustive]
     TuneSkipped {
         /// Catalog key display (`rel(col)`).
         key: String,
@@ -379,8 +399,14 @@ thread_local! {
     static LOCAL: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::new());
 }
 
-/// Records an instant event under the innermost open traced span.
-fn record(kind: TraceKind) {
+/// Records the event `kind` builds under the innermost open traced
+/// span, when `on` (the emitting recorder's gate is open); otherwise
+/// the event is not even built.
+fn record(on: bool, kind: impl FnOnce() -> TraceKind) {
+    if !on {
+        return;
+    }
+    let kind = kind();
     let ts_ns = ns_since_start(Instant::now());
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
@@ -467,19 +493,17 @@ impl Recorder {
     /// Records an estimation-cache probe (hit or miss) with the shard the
     /// fingerprint selected and the snapshot epoch the probe was keyed by.
     pub fn cache_probe(&self, hit: bool, shard: u64, epoch: u64) {
-        if !self.trace_active() {
-            return;
-        }
-        record(TraceKind::CacheProbe { hit, shard, epoch });
+        record(self.trace_active(), || TraceKind::CacheProbe {
+            hit,
+            shard,
+            epoch,
+        });
     }
 
     /// Records which ladder rung answered a statistics lookup that
     /// contributes to a returned estimate.
     pub fn rung_chosen(&self, target: &Arc<str>, rung: &'static str) {
-        if !self.trace_active() {
-            return;
-        }
-        record(TraceKind::Rung {
+        record(self.trace_active(), || TraceKind::Rung {
             target: Arc::clone(target),
             rung,
         });
@@ -495,10 +519,7 @@ impl Recorder {
         rung: &'static str,
         staleness: Option<u64>,
     ) {
-        if !self.trace_active() {
-            return;
-        }
-        record(TraceKind::StatsResolved {
+        record(self.trace_active(), || TraceKind::StatsResolved {
             key: key.to_string(),
             class: class.unwrap_or("none").to_string(),
             rung,
@@ -509,34 +530,22 @@ impl Recorder {
 
 /// Records a WAL journal append.
 pub fn wal_append(records: u64, bytes: u64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::WalAppend { records, bytes });
+    record(active(), || TraceKind::WalAppend { records, bytes });
 }
 
 /// Records a WAL checkpoint into snapshot `generation`.
 pub fn wal_checkpoint(generation: u64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::WalCheckpoint { generation });
+    record(active(), || TraceKind::WalCheckpoint { generation });
 }
 
 /// Records the start of a maintenance-daemon sweep.
 pub fn daemon_sweep(tick: u64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::DaemonSweep { tick });
+    record(active(), || TraceKind::DaemonSweep { tick });
 }
 
 /// Records a maintenance circuit-breaker transition.
 pub fn breaker(column: &str, state: &'static str) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::Breaker {
+    record(active(), || TraceKind::Breaker {
         column: column.to_string(),
         state,
     });
@@ -544,10 +553,7 @@ pub fn breaker(column: &str, state: &'static str) {
 
 /// Records the completion of one statistics-server wire request.
 pub fn net_request(tenant: &str, op: &'static str, outcome: &'static str) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::NetRequest {
+    record(active(), || TraceKind::NetRequest {
         tenant: tenant.to_string(),
         op,
         outcome,
@@ -557,10 +563,7 @@ pub fn net_request(tenant: &str, op: &'static str, outcome: &'static str) {
 /// Records a read-only degraded-mode transition of the durable
 /// catalog.
 pub fn catalog_readonly(readonly: bool, reason: &str) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::CatalogReadonly {
+    record(active(), || TraceKind::CatalogReadonly {
         readonly,
         reason: reason.to_string(),
     });
@@ -568,19 +571,13 @@ pub fn catalog_readonly(readonly: bool, reason: &str) {
 
 /// Records one client retry attempt (re-send or re-connect).
 pub fn client_retry(op: &'static str, attempt: u64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::ClientRetry { op, attempt });
+    record(active(), || TraceKind::ClientRetry { op, attempt });
 }
 
 /// Records an upward drift-threshold crossing of a scope's EWMA
 /// Q-error.
 pub fn drift(scope: &str, ewma_q: f64, threshold: f64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::Drift {
+    record(active(), || TraceKind::Drift {
         scope: scope.to_string(),
         ewma_q,
         threshold,
@@ -589,10 +586,7 @@ pub fn drift(scope: &str, ewma_q: f64, threshold: f64) {
 
 /// Records a feedback tune step that was journaled and applied.
 pub fn tune_applied(key: &str, qerror_pre: f64, qerror_post: f64) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::TuneApplied {
+    record(active(), || TraceKind::TuneApplied {
         key: key.to_string(),
         qerror_pre,
         qerror_post,
@@ -601,10 +595,7 @@ pub fn tune_applied(key: &str, qerror_pre: f64, qerror_post: f64) {
 
 /// Records a feedback tune step that was evaluated but skipped.
 pub fn tune_skipped(key: &str, reason: &'static str) {
-    if !active() {
-        return;
-    }
-    record(TraceKind::TuneSkipped {
+    record(active(), || TraceKind::TuneSkipped {
         key: key.to_string(),
         reason,
     });

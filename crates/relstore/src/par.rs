@@ -12,10 +12,11 @@
 /// Applies `f` to every item, in parallel, preserving order.
 ///
 /// Spawns at most `max_threads` scoped workers (clamped to the item
-/// count). Panics in workers propagate. Workers capture each item's
-/// trace events and the calling thread publishes them in item order
-/// after the join, so the trace's global sequence does not depend on
-/// which worker ran first.
+/// count). Panics in workers propagate. Workers run their items within
+/// the caller's span, so a span opened by `f` has the same path at
+/// every thread count. They capture each item's trace events and the
+/// calling thread publishes them in item order after the join, so the
+/// trace's global sequence does not depend on which worker ran first.
 pub fn par_map<T, R, F>(items: Vec<T>, max_threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -32,13 +33,16 @@ where
     }
     let mut out: Vec<Option<(R, obs::trace::Captured)>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
+    let parent = obs::span::current();
     crossbeam::thread::scope(|scope| {
         let f = &f;
         for (item_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move |_| {
-                for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(obs::trace::capture(|| f(item)));
-                }
+                obs::span::within(parent, || {
+                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *slot = Some(obs::trace::capture(|| f(item)));
+                    }
+                })
             });
         }
     })

@@ -1,7 +1,8 @@
 //! Span paths and trace order across `par_map`: nested spans keep their
-//! dotted paths in the registry and the trace, a worker's spans are
-//! rooted on the worker as they always were, and the caller publishes
-//! the workers' events in item order whichever worker ran first.
+//! dotted paths in the registry and the trace, a worker's spans nest
+//! under the caller's span exactly as the one-thread path's do, and the
+//! caller publishes the workers' events in item order whichever worker
+//! ran first.
 
 use relstore::par_map;
 use std::sync::Barrier;
@@ -20,48 +21,54 @@ fn open_paths(jsonl: &str) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn worker_spans_keep_their_paths_and_publish_in_item_order() {
-    obs::set_enabled(true);
-    obs::trace::set_trace_enabled(true);
+/// Runs every item under the open span `a` on `threads` threads, each
+/// item opening `itemN` and a nested `b`, and returns the `span_open`
+/// paths the calling thread's trace holds afterwards.
+fn traced_paths(threads: usize) -> Vec<String> {
     obs::trace::drain_thread();
-    // Four workers over eight items: item 0 runs on the first worker,
-    // item 6 on the last. Item 0 waits until item 6 has recorded, so
-    // the last worker's events are always recorded first.
+    // Item 0 runs on the first worker and item 6 on the last; with more
+    // than one thread, item 0 waits until item 6 has recorded, so the
+    // last worker's events are always recorded first.
     let item6_recorded = Barrier::new(2);
     {
         let _a = obs::span("a");
         drop(obs::span("b"));
-        let out = par_map((0..ITEMS.len()).collect(), 4, |&i| {
-            if i == 0 {
+        let out = par_map((0..ITEMS.len()).collect(), threads, |&i| {
+            if threads > 1 && i == 0 {
                 item6_recorded.wait();
             }
             {
                 let _item = obs::span(ITEMS[i]);
                 drop(obs::span("b"));
             }
-            if i == 6 {
+            if threads > 1 && i == 6 {
                 item6_recorded.wait();
             }
             i
         });
         assert_eq!(out, (0..ITEMS.len()).collect::<Vec<_>>());
-        par_map(vec![0], 1, |&i| drop(obs::span(ITEMS[i])));
     }
     let events = obs::trace::drain_thread();
-    let mut expected = vec!["a".to_string(), "a.b".to_string()];
-    for name in ITEMS {
-        expected.push(name.to_string());
-        expected.push(format!("{name}.b"));
-    }
-    // One thread runs its items in place, under the caller's span.
-    expected.push("a.item0".to_string());
-    let text = obs::trace::jsonl(&events);
-    assert_eq!(open_paths(&text), expected);
     assert!(
         events.windows(2).all(|w| w[0].seq < w[1].seq),
         "published events are numbered in publish order"
     );
+    open_paths(&obs::trace::jsonl(&events))
+}
+
+#[test]
+fn worker_spans_keep_their_paths_and_publish_in_item_order() {
+    obs::set_enabled(true);
+    obs::trace::set_trace_enabled(true);
+    let mut expected = vec!["a".to_string(), "a.b".to_string()];
+    for name in ITEMS {
+        expected.push(format!("a.{name}"));
+        expected.push(format!("a.{name}.b"));
+    }
+    // Workers nest items under the caller's span, as one thread does in
+    // place, so the paths do not depend on the thread count.
+    assert_eq!(traced_paths(4), expected, "four threads");
+    assert_eq!(traced_paths(1), expected, "one thread");
     let keys: Vec<String> = obs::metrics::registry()
         .histogram_handles()
         .into_iter()

@@ -95,60 +95,6 @@ if grep -RnE 'TcpListener|TcpStream|UdpSocket' \
   exit 1
 fi
 
-echo "==> trace-emission confinement guard"
-# The flight recorder's event schema lives in one place: only crates/obs
-# constructs TraceKind values or pushes ring events; every other crate
-# emits through the typed helpers (obs::Recorder::cache_probe,
-# rung_chosen, obs::trace::wal_append, ...). The oracle's tracing-transparency invariant is the
-# one allowed *consumer*: it pattern-matches the events its own thread
-# recorded (obs::trace::drain_thread, on an engine built with a private
-# obs::Recorder) to falsify the recorder, but never constructs them.
-if grep -RnE 'TraceKind::|push\(Event' \
-    --include='*.rs' \
-    src tests examples crates \
-  | grep -v '^crates/obs/' \
-  | grep -v '^crates/oracle/src/invariants.rs'; then
-  echo "error: trace-event construction found outside crates/obs" >&2
-  echo "       (emit through the typed helpers in obs::trace)" >&2
-  exit 1
-fi
-
-echo "==> estimation-cache epoch guard"
-# The estimation cache is correct only because every probe is keyed by
-# the epoch of the snapshot the estimate is computed on. Two rules,
-# both greppable: (1) no code outside the engine's read path touches
-# the cache type; (2) inside the engine, every cache get/insert passes
-# `snap.epoch()` — the epoch of the *pinned* snapshot, not a re-read of
-# the live catalog, which could race a concurrent mutation between the
-# epoch read and the probe.
-if grep -RnE 'EstimationCache|\.cache\.(get|insert)\(' \
-    --include='*.rs' \
-    src tests examples crates \
-  | grep -v 'crates/engine/src/engine.rs' \
-  | grep -v 'crates/engine/src/cache.rs'; then
-  echo "error: estimation-cache access outside the engine's epoch-snapshot read path" >&2
-  echo "       (estimates go through Engine::estimate_with_sources)" >&2
-  exit 1
-fi
-if ! python3 - <<'PY'
-import re
-import sys
-
-src = re.sub(r"\s+", "", open("crates/engine/src/engine.rs").read())
-probes = len(re.findall(r"\.cache\.(?:get|insert)\(", src))
-keyed = len(re.findall(r"\.cache\.(?:get|insert)\(fp,snap\.epoch\(\)[,)]", src))
-if probes == 0:
-    sys.exit("no cache probes found in engine.rs — did the read path move?")
-if keyed != probes:
-    sys.exit(
-        f"{probes - keyed} cache probe(s) not keyed by the pinned snap.epoch()"
-    )
-PY
-then
-  echo "error: estimation-cache probe not keyed by the pinned snapshot's epoch" >&2
-  exit 1
-fi
-
 echo "==> interpolation-confinement guard"
 # Overlap-ratio interpolation lives in crates/core/src/interp.rs and
 # nowhere else: the engine and query crates consume overlap_fraction /
@@ -253,104 +199,44 @@ then
   exit 1
 fi
 
-echo "==> range-invariant gate"
-# The value-carrying-buckets invariant must be declared in
-# EXPECTED_CHECKS (so a silently skipped run fails report validation)
-# and must actually have run and passed in the selftest above, with a
-# nonzero case count.
-if ! grep -q '"range_band_matches_execution"' crates/oracle/src/report.rs; then
-  echo "error: range_band_matches_execution missing from oracle EXPECTED_CHECKS" >&2
-  exit 1
-fi
-if ! SELFTEST_REPORT="$selftest_report" python3 - <<'PY'
+echo "==> named-invariant gates (range/band, wire equivalence, feedback convergence)"
+# Each invariant below must be declared in EXPECTED_CHECKS (so a
+# silently skipped run fails report validation) and must actually have
+# run and passed in the selftest above, with a nonzero case count:
+# * range_band_matches_execution: the value-carrying-buckets invariant;
+# * wire_equals_inprocess: estimates and StatsUse trails served over a
+#   loopback socket are bit-identical to in-process calls;
+# * feedback_converges: on drifted statistics under a stationary hot
+#   query, the journaled tuning path's median observed Q-error is
+#   monotonically non-increasing and ends within 1.5x of ANALYZE-fresh.
+for check in range_band_matches_execution wire_equals_inprocess feedback_converges; do
+  if ! grep -q "\"$check\"" crates/oracle/src/report.rs; then
+    echo "error: $check missing from oracle EXPECTED_CHECKS" >&2
+    exit 1
+  fi
+  if ! SELFTEST_REPORT="$selftest_report" CHECK="$check" python3 - <<'PY'
 import json
 import os
 import sys
 
+name = os.environ["CHECK"]
 report = json.loads(os.environ["SELFTEST_REPORT"])
 check = next(
-    (c for c in report.get("checks", [])
-     if c.get("name") == "range_band_matches_execution"),
+    (c for c in report.get("checks", []) if c.get("name") == name),
     None,
 )
 if check is None:
-    sys.exit("range_band_matches_execution missing from selftest report")
+    sys.exit(f"{name} missing from selftest report")
 if not check.get("passed"):
-    sys.exit(f"range_band_matches_execution failed: {check.get('failures')}")
+    sys.exit(f"{name} failed: {check.get('failures')}")
 if not check.get("cases"):
-    sys.exit("range_band_matches_execution verified zero cases")
+    sys.exit(f"{name} verified zero cases")
 PY
-then
-  echo "error: range/band invariant missing, failing, or empty in selftest report" >&2
-  exit 1
-fi
-
-echo "==> wire-equivalence gate"
-# The serving layer's twelfth invariant must be declared in
-# EXPECTED_CHECKS (so a silently skipped run fails report validation)
-# and must actually have run and passed in the selftest above, with a
-# nonzero case count: estimates and StatsUse trails served over a
-# loopback socket are bit-identical to in-process calls.
-if ! grep -q '"wire_equals_inprocess"' crates/oracle/src/report.rs; then
-  echo "error: wire_equals_inprocess missing from oracle EXPECTED_CHECKS" >&2
-  exit 1
-fi
-if ! SELFTEST_REPORT="$selftest_report" python3 - <<'PY'
-import json
-import os
-import sys
-
-report = json.loads(os.environ["SELFTEST_REPORT"])
-check = next(
-    (c for c in report.get("checks", [])
-     if c.get("name") == "wire_equals_inprocess"),
-    None,
-)
-if check is None:
-    sys.exit("wire_equals_inprocess missing from selftest report")
-if not check.get("passed"):
-    sys.exit(f"wire_equals_inprocess failed: {check.get('failures')}")
-if not check.get("cases"):
-    sys.exit("wire_equals_inprocess verified zero cases")
-PY
-then
-  echo "error: wire-equivalence invariant missing, failing, or empty in selftest report" >&2
-  exit 1
-fi
-
-echo "==> feedback-convergence gate"
-# The self-tuning loop's fourteenth invariant must be declared in
-# EXPECTED_CHECKS (so a silently skipped run fails report validation)
-# and must actually have run and passed in the selftest above, with a
-# nonzero case count: on drifted statistics under a stationary hot
-# query, the journaled tuning path's median observed Q-error is
-# monotonically non-increasing and ends within 1.5x of ANALYZE-fresh.
-if ! grep -q '"feedback_converges"' crates/oracle/src/report.rs; then
-  echo "error: feedback_converges missing from oracle EXPECTED_CHECKS" >&2
-  exit 1
-fi
-if ! SELFTEST_REPORT="$selftest_report" python3 - <<'PY'
-import json
-import os
-import sys
-
-report = json.loads(os.environ["SELFTEST_REPORT"])
-check = next(
-    (c for c in report.get("checks", [])
-     if c.get("name") == "feedback_converges"),
-    None,
-)
-if check is None:
-    sys.exit("feedback_converges missing from selftest report")
-if not check.get("passed"):
-    sys.exit(f"feedback_converges failed: {check.get('failures')}")
-if not check.get("cases"):
-    sys.exit("feedback_converges verified zero cases")
-PY
-then
-  echo "error: feedback-convergence invariant missing, failing, or empty in selftest report" >&2
-  exit 1
-fi
+  then
+    echo "error: $check invariant missing, failing, or empty in selftest report" >&2
+    exit 1
+  fi
+done
 
 echo "==> bench smoke gate (deterministic digest + cache speedup)"
 # The load harness must (1) report the full histctl-bench-v1 schema,
