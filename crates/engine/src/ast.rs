@@ -77,8 +77,9 @@ pub enum FilterOp {
 impl FilterOp {
     /// The value-level [`query::Predicate`] this filter lowers to —
     /// the single source of truth for both its executable semantics
-    /// ([`FilterPredicate::matches`] delegates here) and its estimation
-    /// dispatch (equality path vs. interval interpolation).
+    /// ([`query::Predicate::matches`]) and its estimation dispatch
+    /// (equality path vs. interval interpolation). It copies an `IN`
+    /// list, so callers build it once per filter, not once per value.
     pub fn to_predicate(&self) -> query::Predicate {
         match self {
             FilterOp::Equals(v) => query::Predicate::Equals(*v),
@@ -107,13 +108,6 @@ pub struct FilterPredicate {
     pub column: ColumnRef,
     /// The predicate.
     pub op: FilterOp,
-}
-
-impl FilterPredicate {
-    /// Whether a concrete value passes the filter.
-    pub fn matches(&self, value: u64) -> bool {
-        self.op.to_predicate().matches(value)
-    }
 }
 
 impl std::fmt::Display for FilterPredicate {
@@ -161,46 +155,21 @@ mod tests {
 
     #[test]
     fn filter_matching() {
-        let col = ColumnRef {
-            table: "t".into(),
-            column: "a".into(),
-        };
-        let eq = FilterPredicate {
-            column: col.clone(),
-            op: FilterOp::Equals(5),
-        };
-        assert!(eq.matches(5));
-        assert!(!eq.matches(6));
-        let ne = FilterPredicate {
-            column: col.clone(),
-            op: FilterOp::NotEquals(5),
-        };
-        assert!(!ne.matches(5));
-        assert!(ne.matches(6));
-        let inn = FilterPredicate {
-            column: col.clone(),
-            op: FilterOp::In(vec![1, 3]),
-        };
-        assert!(inn.matches(3));
-        assert!(!inn.matches(2));
-        let bt = FilterPredicate {
-            column: col.clone(),
-            op: FilterOp::Between(2, 4),
-        };
-        assert!(bt.matches(2) && bt.matches(4));
-        assert!(!bt.matches(1) && !bt.matches(5));
+        // Each filter op lowers to a predicate with its SQL semantics.
         for (op, yes, no) in [
+            (FilterOp::Equals(5), 5, 6),
+            (FilterOp::NotEquals(5), 6, 5),
+            (FilterOp::In(vec![1, 3]), 3, 2),
+            (FilterOp::Between(2, 4), 2, 1),
+            (FilterOp::Between(2, 4), 4, 5),
             (FilterOp::Lt(5), 4, 5),
             (FilterOp::Le(5), 5, 6),
             (FilterOp::Gt(5), 6, 5),
             (FilterOp::Ge(5), 5, 4),
         ] {
-            let p = FilterPredicate {
-                column: col.clone(),
-                op,
-            };
-            assert!(p.matches(yes), "{p}");
-            assert!(!p.matches(no), "{p}");
+            let p = op.to_predicate();
+            assert!(p.matches(yes), "{op:?} at {yes}");
+            assert!(!p.matches(no), "{op:?} at {no}");
         }
     }
 

@@ -28,12 +28,13 @@ use crate::ladder::{
 };
 use crate::parser;
 use crate::provenance::{ProvenanceRecord, StageTiming};
+use query::Predicate;
 use relstore::catalog::StatKey;
 use relstore::join::materialize_join;
 use relstore::stats::frequency_table;
 use relstore::{Catalog, CatalogSnapshot, Relation, Schema, StoredHistogram};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use vopt_hist::BuilderSpec;
 
@@ -69,8 +70,8 @@ pub struct Engine {
     policy: EstimatePolicy,
     /// Memoised whole-query estimates, versioned by catalog epoch.
     cache: EstimationCache,
-    /// The recorder the estimation path's rung counters and trace
-    /// events go to: the process-global one unless built
+    /// The recorder the engine's rung, cache and query counters and its
+    /// trace events go to: the process-global one unless built
     /// [`Engine::with_recorder`].
     pub(crate) obs: EngineObs,
 }
@@ -131,13 +132,22 @@ impl ColumnStats<'_> {
             }
         }
     }
-}
 
-/// `engine_queries_total`, resolved once rather than probed by name per
-/// query.
-pub(crate) fn queries_total() -> &'static Arc<obs::Counter> {
-    static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| obs::counter("engine_queries_total"))
+    /// `Σ â(c)` over the constants found in the dictionary, which must
+    /// be sorted and deduplicated: one binary search per constant
+    /// instead of a dictionary walk. The matches are summed in
+    /// ascending order, so this adds the same terms in the same order
+    /// as the walk `Σ_{v ∈ dict, v ∈ constants} â(v)` and is bit-identical
+    /// to it — including the empty sum, `-0.0`, when no constant is in
+    /// the dictionary. Never called on the `uniform` rung.
+    fn point_mass(&self, constants: &[u64]) -> f64 {
+        let domain = self.domain.expect("non-uniform rungs have a domain");
+        constants
+            .iter()
+            .filter(|c| domain.binary_search(c).is_ok())
+            .map(|&c| self.approx_frequency(c))
+            .sum()
+    }
 }
 
 /// The [`StatsUse`] target string for one filter lookup. Equality-shaped
@@ -194,11 +204,11 @@ impl Engine {
         Self::default()
     }
 
-    /// Creates an empty engine whose `estimate_rung_total{rung=…}` and
-    /// `est_cache_{hit,miss,evict}_total` counters and estimation trace
-    /// events (`cache_probe`, `rung_chosen`, `stats_resolved`) go to
-    /// `recorder` and obey its trace gate alone. Spans and quality
-    /// records stay process-global.
+    /// Creates an empty engine whose `estimate_rung_total{rung=…}`,
+    /// `est_cache_{hit,miss,evict}_total` and `engine_queries_total`
+    /// counters and estimation trace events (`cache_probe`,
+    /// `rung_chosen`, `stats_resolved`) go to `recorder` and obey its
+    /// trace gate alone. Spans and quality records stay process-global.
     pub fn with_recorder(recorder: Arc<obs::Recorder>) -> Self {
         Self {
             obs: EngineObs::new(recorder),
@@ -399,12 +409,12 @@ impl Engine {
         if filters.is_empty() {
             return Ok(rel.clone());
         }
-        let cols: Vec<(&[u64], &FilterPredicate)> = filters
+        let cols: Vec<(&[u64], Predicate)> = filters
             .iter()
-            .map(|f| Ok((rel.column_by_name(&f.column.column)?, *f)))
+            .map(|f| Ok((rel.column_by_name(&f.column.column)?, f.op.to_predicate())))
             .collect::<Result<_>>()?;
         let keep: Vec<usize> = (0..rel.num_rows())
-            .filter(|&row| cols.iter().all(|(col, f)| f.matches(col[row])))
+            .filter(|&row| cols.iter().all(|(col, p)| p.matches(col[row])))
             .collect();
         let columns: Vec<Vec<u64>> = (0..rel.schema().arity())
             .map(|c| keep.iter().map(|&r| rel.column(c)[r]).collect())
@@ -520,7 +530,7 @@ impl Engine {
     /// graph (cross products are rejected). Returns the `COUNT(*)`.
     pub fn execute(&self, query: &Query) -> Result<u128> {
         let _span = obs::span("execute");
-        queries_total().inc();
+        self.obs.query_executed();
         self.bind(query)?;
         // Filters grouped per table.
         let mut per_table: HashMap<&str, Vec<&FilterPredicate>> = HashMap::new();
@@ -726,8 +736,9 @@ impl Engine {
 
     /// Selectivity of one filter predicate and the rung that answered.
     ///
-    /// Equality-shaped filters (`=`, `<>`, `IN`) sum the mass of passing
-    /// values over the dictionary exactly as before. Range-shaped
+    /// Equality-shaped filters sum the mass of passing dictionary
+    /// values: `=` and `IN` look their constants up in the dictionary
+    /// (see [`ColumnStats::point_mass`]), `<>` walks it. Range-shaped
     /// filters on the `spec` rung are answered by overlap-ratio
     /// interpolation over the histogram's value-carrying buckets
     /// (`BETWEEN c AND c` normalises to equality first, so a point
@@ -741,8 +752,8 @@ impl Engine {
         f: &FilterPredicate,
     ) -> Result<(f64, EstimateRung, bool)> {
         let stats = self.resolve_stats(snap, &f.column)?;
-        let interval = f.op.to_predicate().normalize().interval();
-        let sel = match (stats.rung, interval) {
+        let pred = f.op.to_predicate().normalize();
+        let sel = match (stats.rung, pred.interval()) {
             (EstimateRung::Uniform, _) => uniform_filter_selectivity(&f.op),
             (EstimateRung::Spec, Some((q_lo, q_hi))) => {
                 let hist = stats.hist.expect("spec rung has a histogram");
@@ -750,13 +761,21 @@ impl Engine {
                     .clamp(0.0, 1.0)
             }
             _ => {
-                let mass: f64 = stats
-                    .domain
-                    .expect("non-uniform rungs have a domain")
-                    .iter()
-                    .filter(|&&v| f.matches(v))
-                    .map(|&v| stats.approx_frequency(v))
-                    .sum();
+                let mass = match pred {
+                    Predicate::Equals(c) => stats.point_mass(&[c]),
+                    Predicate::In(mut cs) => {
+                        cs.sort_unstable();
+                        cs.dedup();
+                        stats.point_mass(&cs)
+                    }
+                    pred => stats
+                        .domain
+                        .expect("non-uniform rungs have a domain")
+                        .iter()
+                        .filter(|&&v| pred.matches(v))
+                        .map(|&v| stats.approx_frequency(v))
+                        .sum(),
+                };
                 (mass / stats.rows.max(1.0)).clamp(0.0, 1.0)
             }
         };
@@ -894,8 +913,10 @@ impl Engine {
     /// Selectivity of one join predicate and the rung that answered
     /// (the worse of the two sides). With both sides on `spec` an
     /// equality join is `Σ_v âL(v)·âR(v) / (|L|·|R|)` over the union of
-    /// both dictionaries, on exactly the shared estimator code path the
-    /// oracle pins, and a band join `abs(l - r) <= w` is the
+    /// both dictionaries, answered in closed form over the stored
+    /// layouts by [`query::estimate::estimate_equi_join`] (bit-identical
+    /// to the union walk the oracle pins), and a band join
+    /// `abs(l - r) <= w` is the
     /// bucket-pair overlap estimate of
     /// [`query::estimate::estimate_band_join`] scaled the same way.
     /// Degraded equality sides substitute their rung's per-value model;
@@ -933,14 +954,14 @@ impl Engine {
                 .map_or(UNIFORM_DISTINCT_DEFAULT, |d| d.len() as f64);
             return Ok(((1.0 / v_l.max(v_r).max(1.0)).clamp(0.0, 1.0), rung, tuned));
         };
-        let mut domain: Vec<u64> = l_dom.iter().chain(r_dom).copied().collect();
-        domain.sort_unstable();
-        domain.dedup();
         let overlap: f64 = if left.rung == EstimateRung::Spec && right.rung == EstimateRung::Spec {
             let lh = left.hist.expect("spec rung has a histogram");
             let rh = right.hist.expect("spec rung has a histogram");
-            query::estimate::estimate_two_way_join(lh, rh, &domain)
+            query::estimate::estimate_equi_join(lh, l_dom, rh, r_dom)
         } else {
+            let mut domain: Vec<u64> = l_dom.iter().chain(r_dom).copied().collect();
+            domain.sort_unstable();
+            domain.dedup();
             domain
                 .iter()
                 .map(|&v| left.approx_frequency(v) * right.approx_frequency(v))
@@ -955,6 +976,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::FilterOp;
     use freqdist::zipf::zipf_frequencies;
     use freqdist::{Arrangement, FreqMatrix};
     use relstore::generate::{relation_from_frequency_set, relation_from_matrix};
@@ -1526,5 +1548,120 @@ mod tests {
             }
         }
         assert_eq!(exact, expect);
+    }
+
+    /// One engine per non-uniform rung over the same column `t.a`,
+    /// whose 40 dictionary values `0, 3, 6, …` leave gaps for absent
+    /// constants: fresh statistics (`spec`), statistics stale past the
+    /// hard limit (`end_biased`), and a dictionary without a histogram
+    /// (`trivial`).
+    fn point_lookup_engines() -> [(Engine, EstimateRung); 3] {
+        let values: Vec<u64> = (0..40).map(|v| v * 3).collect();
+        let freqs = zipf_frequencies(4_000, 40, 1.2).unwrap();
+        let build = || {
+            let mut e = Engine::new();
+            e.register(
+                relstore::generate::relation_from_frequencies("t", "a", &values, &freqs, 1)
+                    .unwrap(),
+            );
+            e.analyze_all(6).unwrap();
+            e
+        };
+        let spec = build();
+        let mut end_biased = build();
+        end_biased.set_estimate_policy(EstimatePolicy {
+            hard_staleness_limit: 0,
+            ..EstimatePolicy::default()
+        });
+        end_biased.catalog().note_updates("t", 1);
+        let mut trivial = build();
+        trivial.catalog = Arc::new(Catalog::new());
+        [
+            (spec, EstimateRung::Spec),
+            (end_biased, EstimateRung::EndBiased),
+            (trivial, EstimateRung::Trivial),
+        ]
+    }
+
+    /// The selectivity the dictionary walk gives `op` on `t.a`: every
+    /// dictionary value the predicate passes, summed in order.
+    fn walked_selectivity(e: &Engine, op: &FilterOp) -> f64 {
+        let snap = e.catalog.read_snapshot();
+        let column = ColumnRef {
+            table: "t".into(),
+            column: "a".into(),
+        };
+        let stats = e.resolve_stats(&snap, &column).unwrap();
+        let pred = op.to_predicate();
+        let mass: f64 = stats
+            .domain
+            .unwrap()
+            .iter()
+            .filter(|&&v| pred.matches(v))
+            .map(|&v| stats.approx_frequency(v))
+            .sum();
+        (mass / stats.rows.max(1.0)).clamp(0.0, 1.0)
+    }
+
+    fn looked_up_selectivity(e: &Engine, op: &FilterOp) -> (f64, EstimateRung) {
+        let f = FilterPredicate {
+            column: ColumnRef {
+                table: "t".into(),
+                column: "a".into(),
+            },
+            op: op.clone(),
+        };
+        let (sel, rung, _) = e
+            .filter_selectivity(&e.catalog.read_snapshot(), &f)
+            .unwrap();
+        (sel, rung)
+    }
+
+    #[test]
+    fn point_lookups_of_absent_constants_give_the_empty_sum() {
+        for (e, rung) in point_lookup_engines() {
+            for op in [
+                FilterOp::Equals(1),
+                FilterOp::Equals(500),
+                FilterOp::Between(4, 4),
+                FilterOp::In(vec![500, 1, 1]),
+                FilterOp::In(vec![]),
+            ] {
+                let (sel, answered) = looked_up_selectivity(&e, &op);
+                assert_eq!(answered, rung);
+                assert_eq!(sel.to_bits(), (-0.0f64).to_bits(), "{rung:?} {op:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `=`, point `BETWEEN` and `IN` filters answered by dictionary
+        /// lookups equal the dictionary walk bit for bit on every rung
+        /// with a per-value model, for present, absent, unsorted and
+        /// repeated constants.
+        #[test]
+        fn point_lookup_filters_equal_the_dictionary_walk(
+            c in 0u64..130,
+            list in proptest::collection::vec(0u64..130, 0..10),
+        ) {
+            let mut repeated = list.clone();
+            repeated.extend(list.iter().rev());
+            for (e, rung) in point_lookup_engines() {
+                for op in [
+                    FilterOp::Equals(c),
+                    FilterOp::Between(c, c),
+                    FilterOp::In(list.clone()),
+                    FilterOp::In(repeated.clone()),
+                ] {
+                    let (sel, answered) = looked_up_selectivity(&e, &op);
+                    proptest::prop_assert!(answered == rung);
+                    let walked = walked_selectivity(&e, &op);
+                    proptest::prop_assert!(
+                        sel.to_bits() == walked.to_bits(),
+                        "{:?} {:?}: {} vs {}", rung, op, sel, walked
+                    );
+                }
+            }
+        }
     }
 }

@@ -180,7 +180,7 @@ impl Engine {
     /// statistics states.
     pub fn explain_analyze(&self, query: &Query) -> Result<ExplainOutput> {
         let _span = obs::span("explain_analyze");
-        crate::engine::queries_total().inc();
+        self.obs.query_executed();
         self.bind(query)?;
         let snap = self.catalog().read_snapshot();
         let mut steps = Vec::new();

@@ -103,11 +103,12 @@ pub struct StatsUse {
 
 /// An engine's handle on its [`obs::Recorder`]: the recorder (whose
 /// trace gate the estimation path's events obey), its four
-/// `estimate_rung_total{rung=…}` counters and its three
-/// `est_cache_{hit,miss,evict}_total` counters, resolved once per
-/// engine. Formatting the labeled name and probing the registry both
-/// allocate; the estimation hot path (and especially cache-hit replay)
-/// pays only an atomic increment.
+/// `estimate_rung_total{rung=…}` counters, its three
+/// `est_cache_{hit,miss,evict}_total` counters and its
+/// `engine_queries_total` counter, resolved once per engine. Formatting
+/// the labeled name and probing the registry both allocate; the
+/// estimation hot path (and especially cache-hit replay) pays only an
+/// atomic increment.
 #[derive(Debug)]
 pub(crate) struct EngineObs {
     recorder: Arc<obs::Recorder>,
@@ -116,6 +117,7 @@ pub(crate) struct EngineObs {
     cache_hits: Arc<obs::Counter>,
     cache_misses: Arc<obs::Counter>,
     cache_evictions: Arc<obs::Counter>,
+    queries: Arc<obs::Counter>,
 }
 
 impl EngineObs {
@@ -133,6 +135,7 @@ impl EngineObs {
             cache_hits: registry.counter("est_cache_hit_total"),
             cache_misses: registry.counter("est_cache_miss_total"),
             cache_evictions: registry.counter("est_cache_evict_total"),
+            queries: registry.counter("engine_queries_total"),
             recorder,
         }
     }
@@ -150,6 +153,11 @@ impl EngineObs {
             self.cache_misses.inc();
         }
         self.recorder.cache_probe(hit, key.shard(), key.epoch());
+    }
+
+    /// Records one executed query (`execute` or `explain_analyze`).
+    pub(crate) fn query_executed(&self) {
+        self.queries.inc();
     }
 
     /// Records that a cache insert evicted the least-recently-used entry.
@@ -185,7 +193,7 @@ impl EngineObs {
 
 impl Default for EngineObs {
     /// The process-global recorder, so `histctl metrics`/`trace` see the
-    /// engine's rung and cache counters and its events.
+    /// engine's rung, cache and query counters and its events.
     fn default() -> Self {
         Self::new(Arc::clone(obs::Recorder::global()))
     }

@@ -1,6 +1,7 @@
-//! An engine records its rung counters, cache counters and estimation
-//! trace events to the recorder it was built with. This file holds a single test so that
-//! nothing else in its process moves the global counters it compares.
+//! An engine records its rung, cache and query counters and its
+//! estimation trace events to the recorder it was built with. This file
+//! holds a single test so that nothing else in its process moves the
+//! global counters it compares.
 
 use engine::Engine;
 use freqdist::zipf::zipf_frequencies;
@@ -27,6 +28,10 @@ const CACHE: [&str; 3] = [
 
 fn cache_totals(recorder: &Recorder) -> [u64; 3] {
     CACHE.map(|c| recorder.registry().counter(c).get())
+}
+
+fn queries_total(recorder: &Recorder) -> u64 {
+    recorder.registry().counter("engine_queries_total").get()
 }
 
 /// `t` is analyzed (its lookups answer from `spec`); `u` is not (its
@@ -91,6 +96,15 @@ fn rung_counters_and_events_go_to_the_engines_recorder() {
     assert_eq!(rung_totals(global), global_before);
     assert_eq!(cache_totals(global), global_cache_before);
 
+    // `execute` and `explain_analyze` count queries on the engine's own
+    // recorder too.
+    let global_queries_before = queries_total(global);
+    assert_eq!(queries_total(&private), 0);
+    engine.execute(&on_t).unwrap();
+    engine.explain_analyze(&on_t).unwrap();
+    assert_eq!(queries_total(&private), 2);
+    assert_eq!(queries_total(global), global_queries_before);
+
     // A default engine still records to the process-global recorder: its
     // rung and cache counters move (`histctl bench` and perfbench read
     // the cache counters there) and its events reach the global drain.
@@ -120,4 +134,7 @@ fn rung_counters_and_events_go_to_the_engines_recorder() {
         events.contains(r#""event":"stats_resolved","key":"t.a""#),
         "{events}"
     );
+    engine.execute(&on_t).unwrap();
+    engine.explain_analyze(&on_t).unwrap();
+    assert_eq!(queries_total(global), global_queries_before + 2);
 }

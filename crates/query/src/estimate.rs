@@ -32,6 +32,89 @@ pub fn estimate_two_way_join(
         .sum()
 }
 
+/// Estimates a 2-way equality join over the union of the two columns'
+/// value dictionaries — [`estimate_two_way_join`] with `domain = L ∪ R`
+/// — in closed form over the §4 layout, without building the union.
+///
+/// Every value of `L ∪ R` that neither histogram lists is worth
+/// `defaultL · defaultR`; only the listed (exception) values differ. So
+/// the sum is one merge of the two sorted exception lists, adding
+/// `âL(v)·âR(v)` for each listed `v` in either dictionary (`k` of them),
+/// plus `(|L ∪ R| − k) · defaultL · defaultR`, with `|L ∪ R|` counted by
+/// an allocation-free merge of the dictionaries: `O(β log(|L| + |R|))`
+/// searches and one linear merge, instead of building, sorting and
+/// binary-searching the union.
+///
+/// Both dictionaries must be strictly ascending (sorted, without
+/// duplicates), as value dictionaries are. Every term is a product
+/// of integer averages, summed exactly in `u128` and rounded to `f64`
+/// once, so the result equals the reference walk bit for bit whenever
+/// the total is at most 2^53 (the walk's partial sums are then exact
+/// integers too). Above that it is the correctly rounded exact sum,
+/// where the walk's depended on summation order. A total past `u128`
+/// saturates.
+pub fn estimate_equi_join(
+    left: &StoredHistogram,
+    left_dict: &[u64],
+    right: &StoredHistogram,
+    right_dict: &[u64],
+) -> f64 {
+    let union = union_count(left_dict, right_dict);
+    if union == 0 {
+        // The empty f64 sum, as the reference walk gives for an empty
+        // domain.
+        return -0.0;
+    }
+    let in_dicts =
+        |v: &u64| left_dict.binary_search(v).is_ok() || right_dict.binary_search(v).is_ok();
+    let default_l = u128::from(left.bucket_avgs()[left.default_bucket() as usize]);
+    let default_r = u128::from(right.bucket_avgs()[right.default_bucket() as usize]);
+    let avg = |h: &StoredHistogram, b: u32| u128::from(h.bucket_avgs()[b as usize]);
+    let (l_exc, r_exc) = (left.exceptions(), right.exceptions());
+    let (mut i, mut j) = (0, 0);
+    let mut listed = 0u128;
+    let mut k = 0;
+    while i < l_exc.len() || j < r_exc.len() {
+        let (v, a_l, a_r) = match (l_exc.get(i), r_exc.get(j)) {
+            (Some(&(lv, lb)), Some(&(rv, rb))) if lv == rv => {
+                i += 1;
+                j += 1;
+                (lv, avg(left, lb), avg(right, rb))
+            }
+            (Some(&(lv, lb)), r) if r.is_none_or(|&(rv, _)| lv < rv) => {
+                i += 1;
+                (lv, avg(left, lb), default_r)
+            }
+            (_, Some(&(rv, rb))) => {
+                j += 1;
+                (rv, default_l, avg(right, rb))
+            }
+            (_, None) => unreachable!("the loop runs while either list has values"),
+        };
+        if in_dicts(&v) {
+            listed = listed.saturating_add(a_l.saturating_mul(a_r));
+            k += 1;
+        }
+    }
+    let unlisted = ((union - k) as u128)
+        .saturating_mul(default_l)
+        .saturating_mul(default_r);
+    listed.saturating_add(unlisted) as f64
+}
+
+/// `|a ∪ b| = |a| + |b| − |a ∩ b|` for two strictly ascending slices,
+/// counting the intersection by a branch-free merge.
+fn union_count(a: &[u64], b: &[u64]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        common += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a.len() + b.len() - common
+}
+
 /// Estimates the size of a self-join from a stored histogram.
 pub fn estimate_self_join(hist: &StoredHistogram, domain: &[u64]) -> f64 {
     estimate_two_way_join(hist, hist, domain)
@@ -107,6 +190,7 @@ mod tests {
     use super::*;
     use relstore::catalog::StoredHistogram;
     use vopt_hist::construct::{end_biased, v_opt_end_biased};
+    use vopt_hist::interp::ValueBounds;
 
     /// freqs 100, 40, 30, 20, 10 over values 0..5, top and bottom singled
     /// out.
@@ -142,6 +226,46 @@ mod tests {
             .map(|&v| a.approx_frequency(v) as f64 * b.approx_frequency(v) as f64)
             .sum();
         assert_eq!(est, direct);
+    }
+
+    #[test]
+    fn equi_join_over_empty_dictionaries_is_the_empty_sum() {
+        let s = stored();
+        let walk = estimate_two_way_join(&s, &s, &[]);
+        assert_eq!(
+            estimate_equi_join(&s, &[], &s, &[]).to_bits(),
+            walk.to_bits()
+        );
+        assert_eq!(walk.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn equi_join_past_2_pow_53_is_the_rounded_exact_sum() {
+        // One listed value worth 2^30 on each side, then 512 unlisted
+        // values worth 1·1. The walk adds each 1 to 2^60, where f64's
+        // spacing is 256, and loses it; the closed form keeps all 512.
+        let h = StoredHistogram::from_parts(
+            vec![1, 1 << 30],
+            0,
+            vec![(0, 1)],
+            vec![
+                ValueBounds {
+                    lo: 1,
+                    hi: 513,
+                    distinct: 512,
+                },
+                ValueBounds {
+                    lo: 0,
+                    hi: 1,
+                    distinct: 1,
+                },
+            ],
+        )
+        .unwrap();
+        let dict: Vec<u64> = (0..513).collect();
+        let exact = ((1u128 << 60) + 512) as f64;
+        assert_eq!(estimate_equi_join(&h, &dict, &h, &dict), exact);
+        assert_eq!(estimate_two_way_join(&h, &h, &dict), (1u64 << 60) as f64);
     }
 
     #[test]

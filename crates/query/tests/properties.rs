@@ -2,17 +2,90 @@
 
 use freqdist::{FreqMatrix, FrequencySet};
 use proptest::prelude::*;
-use query::estimate::{estimate_equality, estimate_range};
+use query::estimate::{
+    estimate_equality, estimate_equi_join, estimate_range, estimate_two_way_join,
+};
 use query::metrics::{mean_error, SizeSample};
 use query::montecarlo::{sample_chain, sample_self_join, HistogramSpec, RelationSpec};
 use query::selection::Selection;
 use query::{ChainQuery, Predicate, RelationStats};
 use relstore::catalog::StoredHistogram;
 use vopt_hist::construct::{v_opt_end_biased, v_opt_serial_dp};
+use vopt_hist::interp::ValueBounds;
 use vopt_hist::RoundingMode;
 
 fn freqs_strategy(max: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..200, 2..=max)
+}
+
+/// A sorted, duplicate-free value dictionary over `0..60`.
+fn dict_strategy() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..60, 1..20).prop_map(|mut d| {
+        d.sort_unstable();
+        d.dedup();
+        d
+    })
+}
+
+/// The §4 layout an ANALYZE would store for `dict`: a v-optimal
+/// end-biased histogram over it, so every exception is one of `dict`'s
+/// own values.
+fn analyzed(dict: &[u64], freqs: &[u64], beta: usize) -> StoredHistogram {
+    let freqs: Vec<u64> = (0..dict.len()).map(|i| freqs[i % freqs.len()]).collect();
+    let hist = v_opt_end_biased(&freqs, beta.min(dict.len()))
+        .unwrap()
+        .histogram;
+    StoredHistogram::from_histogram(dict, &hist).unwrap()
+}
+
+/// A stored layout with exceptions anywhere in `0..80`, so some are in
+/// neither dictionary (a catalog entry decoded or tuned apart from the
+/// dictionary it is estimated with).
+fn free_layout() -> impl Strategy<Value = StoredHistogram> {
+    (
+        prop::collection::vec(0u64..1_000, 1..5),
+        0u32..5,
+        prop::collection::vec((0u64..80, 0u32..5), 0..12),
+    )
+        .prop_map(|(avgs, default, mut exceptions)| {
+            let n = avgs.len() as u32;
+            exceptions.sort_unstable_by_key(|&(v, _)| v);
+            exceptions.dedup_by_key(|&mut (v, _)| v);
+            let exceptions = exceptions.into_iter().map(|(v, b)| (v, b % n)).collect();
+            let bounds = vec![
+                ValueBounds {
+                    lo: 0,
+                    hi: 100,
+                    distinct: 1
+                };
+                avgs.len()
+            ];
+            StoredHistogram::from_parts(avgs, default % n, exceptions, bounds).unwrap()
+        })
+}
+
+/// Reshapes two dictionaries into the case `shape` names: 0 leaves
+/// them overlapping at random, 1 makes them disjoint, 2 puts the right
+/// one inside the left, 3 cuts both to singletons.
+fn shaped(shape: u8, left: Vec<u64>, right: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
+    match shape {
+        0 => (left, right),
+        1 => (left, right.iter().map(|v| v + 1_000).collect()),
+        2 => {
+            let inner = left.iter().copied().step_by(2).collect();
+            (left, inner)
+        }
+        _ => (left[..1].to_vec(), right[..1].to_vec()),
+    }
+}
+
+/// The reference the closed form must equal: the two-way join walked
+/// over the materialised, sorted union of both dictionaries.
+fn union_walk(l: &StoredHistogram, ld: &[u64], r: &StoredHistogram, rd: &[u64]) -> f64 {
+    let mut union: Vec<u64> = ld.iter().chain(rd).copied().collect();
+    union.sort_unstable();
+    union.dedup();
+    estimate_two_way_join(l, r, &union)
 }
 
 proptest! {
@@ -155,6 +228,44 @@ proptest! {
             .sum();
         prop_assert!(narrow >= 0.0 && narrow <= mass + 1e-6);
         prop_assert!(wide >= 0.0 && wide <= mass + 1e-6);
+    }
+
+    /// The closed-form equi-join equals the union walk bit for bit on
+    /// analyzed layouts: disjoint dictionaries, one inside the other,
+    /// exceptions missing from the other dictionary, singletons.
+    #[test]
+    fn equi_join_closed_form_equals_union_walk(
+        shape in 0u8..4,
+        ld in dict_strategy(),
+        rd in dict_strategy(),
+        fl in freqs_strategy(12),
+        fr in freqs_strategy(12),
+        bl in 1usize..6,
+        br in 1usize..6,
+    ) {
+        let (ld, rd) = shaped(shape, ld, rd);
+        let (l, r) = (analyzed(&ld, &fl, bl), analyzed(&rd, &fr, br));
+        let closed = estimate_equi_join(&l, &ld, &r, &rd);
+        let walk = union_walk(&l, &ld, &r, &rd);
+        prop_assert!(closed.to_bits() == walk.to_bits(), "{} vs {}", closed, walk);
+        // Symmetric in its sides.
+        prop_assert_eq!(estimate_equi_join(&r, &rd, &l, &ld).to_bits(), walk.to_bits());
+    }
+
+    /// The same on free layouts, whose exceptions may lie in neither
+    /// dictionary, in one, or in both.
+    #[test]
+    fn equi_join_closed_form_equals_union_walk_on_free_layouts(
+        shape in 0u8..4,
+        ld in dict_strategy(),
+        rd in dict_strategy(),
+        l in free_layout(),
+        r in free_layout(),
+    ) {
+        let (ld, rd) = shaped(shape, ld, rd);
+        let closed = estimate_equi_join(&l, &ld, &r, &rd);
+        let walk = union_walk(&l, &ld, &r, &rd);
+        prop_assert!(closed.to_bits() == walk.to_bits(), "{} vs {}", closed, walk);
     }
 
     /// `BETWEEN c AND c` collapses to the equality path under

@@ -763,26 +763,6 @@ impl Catalog {
         self.read_snapshot().version_snapshot()
     }
 
-    /// Estimation-quality aggregates recorded (via
-    /// [`obs::record_quality`]) for relations this catalog holds
-    /// statistics on. Scopes follow the `<relation>/<histogram class>`
-    /// convention, so the filter matches on the leading path component.
-    pub fn quality_report(&self) -> Vec<(String, obs::QualitySnapshot)> {
-        let snap = self.read_snapshot();
-        let mut relations: std::collections::HashSet<String> =
-            snap.entries.keys().map(|k| k.relation.clone()).collect();
-        relations.extend(snap.matrix_entries.keys().map(|k| k.relation.clone()));
-        obs::quality::snapshot_all()
-            .into_iter()
-            .filter(|(scope, _)| {
-                scope
-                    .split('/')
-                    .next()
-                    .is_some_and(|r| relations.contains(r))
-            })
-            .collect()
-    }
-
     /// The build step of the unified ANALYZE pipeline: a collected
     /// frequency table plus a [`BuilderSpec`] become a compact
     /// [`StoredHistogram`]. The bucket budget is clamped to the column's

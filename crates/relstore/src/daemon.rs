@@ -329,15 +329,6 @@ impl DaemonCore {
         self.tick
     }
 
-    /// Breaker state per registered column, in registration order.
-    pub fn breaker_states(&self) -> Vec<(StatKey, BreakerState)> {
-        self.tasks
-            .iter()
-            .zip(&self.states)
-            .map(|(t, s)| (t.key(), s.breaker))
-            .collect()
-    }
-
     /// How many breakers are currently in each state:
     /// `(closed, open, half_open)`.
     pub fn breaker_counts(&self) -> (u64, u64, u64) {
