@@ -175,27 +175,12 @@ pub fn band_fraction(left: &ValueBounds, right: &ValueBounds, w: u64) -> f64 {
             // x, with slope changes exactly where a window edge crosses
             // a bucket edge.
             let window = |x: f64| ((x + wf + 1.0).min(hi2) - (x - wf).max(lo2)).max(0.0);
-            // The breakpoints inside [lo1, hi1], sorted and deduplicated
-            // in a stack buffer (this runs once per bucket pair).
-            let mut pts = [0.0; 6];
-            let mut n = 0;
-            for x in [lo1, hi1, lo2 - wf - 1.0, hi2 - wf - 1.0, lo2 + wf, hi2 + wf] {
-                if (lo1..=hi1).contains(&x) {
-                    pts[n] = x;
-                    n += 1;
-                }
-            }
-            let pts = &mut pts[..n];
+            let mut pts = vec![lo1, hi1, lo2 - wf - 1.0, hi2 - wf - 1.0, lo2 + wf, hi2 + wf];
+            pts.retain(|&x| (lo1..=hi1).contains(&x));
             pts.sort_by(f64::total_cmp);
-            let mut kept = 0;
-            for i in 0..pts.len() {
-                if kept == 0 || pts[i] != pts[kept - 1] {
-                    pts[kept] = pts[i];
-                    kept += 1;
-                }
-            }
+            pts.dedup();
             // Trapezoid rule is exact on each linear segment.
-            let integral: f64 = pts[..kept]
+            let integral: f64 = pts
                 .windows(2)
                 .map(|seg| (seg[1] - seg[0]) * 0.5 * (window(seg[0]) + window(seg[1])))
                 .sum();
