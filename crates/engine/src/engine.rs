@@ -61,10 +61,9 @@ use vopt_hist::BuilderSpec;
 pub struct Engine {
     relations: HashMap<String, Relation>,
     catalog: Arc<Catalog>,
-    /// Sorted distinct values per (relation, column), captured at
-    /// ANALYZE time (the "value dictionary" a real system keeps as
-    /// column metadata).
-    domains: HashMap<(String, String), Vec<u64>>,
+    /// What ANALYZE captured per relation, then per column, looked up
+    /// by `&str`.
+    columns: HashMap<String, HashMap<String, ColumnRecord>>,
     /// When the estimator stops trusting stored histograms and drops
     /// down the degradation ladder.
     policy: EstimatePolicy,
@@ -74,6 +73,28 @@ pub struct Engine {
     /// trace events go to: the process-global one unless built
     /// [`Engine::with_recorder`].
     pub(crate) obs: EngineObs,
+}
+
+/// What ANALYZE captured about one column: its value dictionary and
+/// the catalog key and `rel.col` label its statistics are resolved and
+/// traced under, built once so that a resolution allocates nothing.
+#[derive(Debug)]
+struct ColumnRecord {
+    /// Sorted distinct values (the "value dictionary" a real system
+    /// keeps as column metadata).
+    domain: Vec<u64>,
+    key: StatKey,
+    label: Arc<str>,
+}
+
+impl ColumnRecord {
+    fn new(relation: &str, column: &str, domain: Vec<u64>) -> Self {
+        Self {
+            domain,
+            key: StatKey::new(relation, &[column]),
+            label: Arc::from(format!("{relation}.{column}")),
+        }
+    }
 }
 
 /// Everything the estimator resolved about one column: the surviving
@@ -304,7 +325,8 @@ impl Engine {
     /// The shared ANALYZE scan/build phase: collects each column's value
     /// dictionary and builds the histogram described by `spec`, in
     /// parallel, returning the catalog batch in deterministic
-    /// (relation, column) order. Updates `self.domains` as it goes.
+    /// (relation, column) order. Records each column's dictionary as it
+    /// goes.
     fn build_analyze_batch(
         &mut self,
         spec: BuilderSpec,
@@ -335,14 +357,11 @@ impl Engine {
         let mut batch = Vec::new();
         for ((name, column), result) in work.into_iter().zip(built) {
             let (values, stored) = result?;
+            let record = ColumnRecord::new(&name, &column, values);
             if let Some(stored) = stored {
-                batch.push((
-                    StatKey::new(name.as_str(), &[column.as_str()]),
-                    stored,
-                    Some(spec),
-                ));
+                batch.push((record.key.clone(), stored, Some(spec)));
             }
-            self.domains.insert((name, column), values);
+            self.columns.entry(name).or_default().insert(column, record);
         }
         Ok(batch)
     }
@@ -661,7 +680,7 @@ impl Engine {
     /// unaffected.
     pub fn clear_statistics(&mut self) {
         self.catalog = Arc::new(Catalog::new());
-        self.domains.clear();
+        self.columns.clear();
         self.cache.clear();
     }
 
@@ -683,25 +702,39 @@ impl Engine {
     /// contributes to a returned estimate, so degraded answers stay
     /// visible in `histctl metrics` without search-evaluation inflation.
     ///
+    /// A column ANALYZE has recorded resolves without allocating; one it
+    /// has not (a recovered catalog before this engine's first ANALYZE)
+    /// builds its key on the spot.
     pub(crate) fn resolve_stats<'a>(
         &'a self,
         snap: &'a CatalogSnapshot,
         c: &ColumnRef,
     ) -> Result<ColumnStats<'a>> {
         let rows = self.relation(&c.table)?.num_rows() as f64;
-        let key = StatKey::new(c.table.clone(), &[c.column.as_str()]);
-        let hist = snap.get(&key).ok();
-        let domain = self
-            .domains
-            .get(&(c.table.clone(), c.column.clone()))
-            .map(Vec::as_slice)
+        let recorded = self
+            .columns
+            .get(c.table.as_str())
+            .and_then(|columns| columns.get(c.column.as_str()));
+        let unrecorded;
+        let record = match recorded {
+            Some(record) => record,
+            None => {
+                unrecorded = ColumnRecord::new(&c.table, &c.column, Vec::new());
+                &unrecorded
+            }
+        };
+        let key = &record.key;
+        let hist = snap.get(key).ok();
+        let domain = recorded
+            .map(|r| r.domain.as_slice())
             .filter(|d| !d.is_empty());
+        // Read once for the ladder and the trace event.
+        let staleness = hist.and_then(|_| snap.staleness(key).ok());
         let rung = match (&hist, domain) {
             (Some(_), Some(_)) => {
-                let stale =
-                    snap.staleness(&key).unwrap_or(u64::MAX) > self.policy.hard_staleness_limit;
+                let stale = staleness.unwrap_or(u64::MAX) > self.policy.hard_staleness_limit;
                 let breaker_open = snap
-                    .refresh_failure(&key)
+                    .refresh_failure(key)
                     .is_some_and(|f| f.count >= self.policy.breaker_failure_threshold);
                 if stale || breaker_open {
                     EstimateRung::EndBiased
@@ -714,17 +747,17 @@ impl Engine {
         };
         // Flight-recorder provenance: which histogram class and rung
         // this resolution consulted. Guarded so the extra catalog
-        // lookups (spec, staleness) happen only while tracing.
+        // lookup (spec) happens only while tracing.
         let recorder = self.obs.recorder();
         if recorder.trace_active() {
             recorder.stats_resolved(
-                &format!("{}.{}", c.table, c.column),
-                snap.spec_of(&key).map(|s| s.name()),
+                &record.label,
+                snap.spec_of(key).map(|s| s.name()),
                 rung.name(),
-                snap.staleness(&key).ok(),
+                staleness,
             );
         }
-        let tuned = hist.is_some() && snap.tuned_count(&key) > 0;
+        let tuned = hist.is_some() && snap.tuned_count(key) > 0;
         Ok(ColumnStats {
             rung,
             tuned,
@@ -1281,8 +1314,10 @@ mod tests {
         e.register(relation_from_frequency_set("t", "a", &f0, 1).unwrap());
         // A surviving value dictionary but no catalog entry (e.g. the
         // histogram was never rebuilt after recovery).
-        e.domains
-            .insert(("t".to_string(), "a".to_string()), (0..5).collect());
+        e.columns.entry("t".to_string()).or_default().insert(
+            "a".to_string(),
+            ColumnRecord::new("t", "a", (0..5).collect()),
+        );
         let q = e
             .parse("SELECT COUNT(*) FROM t WHERE t.a IN (0, 1)")
             .unwrap();

@@ -32,6 +32,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use engine::{EstimateRung, StatsUse};
 use relstore::codec::{catalog_checksum, get_str, need, put_str};
 use relstore::Relation;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// Frame magic: the wire sibling of the `VOH*` snapshot formats.
@@ -108,6 +109,22 @@ pub enum Request {
     },
     /// Graceful server shutdown: every tenant is checkpointed.
     Shutdown,
+}
+
+/// An owned request moves into [`crate::Tenant::submit`]: a write
+/// reaches the tenant's writer without copying its payload.
+impl From<Request> for Cow<'_, Request> {
+    fn from(request: Request) -> Self {
+        Cow::Owned(request)
+    }
+}
+
+/// A borrowed request is copied by [`crate::Tenant::submit`] only if it
+/// is a write, which must be queued.
+impl<'a> From<&'a Request> for Cow<'a, Request> {
+    fn from(request: &'a Request) -> Self {
+        Cow::Borrowed(request)
+    }
 }
 
 /// Why a request failed, as carried on the wire.

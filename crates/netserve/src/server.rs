@@ -201,7 +201,7 @@ impl Inner {
         }
     }
 
-    fn handle(&self, request: &Request) -> Response {
+    fn handle(&self, request: Request) -> Response {
         if self.stop.load(Ordering::SeqCst) && !matches!(request, Request::Ping) {
             return Response::Error {
                 kind: ErrorKind::ShuttingDown,
@@ -319,7 +319,7 @@ impl Inner {
                     if !tenant.is_empty() {
                         obs::counter(&obs::labeled("net_requests_total", "tenant", &tenant)).inc();
                     }
-                    let response = self.handle(&request);
+                    let response = self.handle(request);
                     let outcome = match &response {
                         Response::Overloaded { .. } => "overloaded",
                         Response::Error { .. } => "error",

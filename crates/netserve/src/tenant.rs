@@ -19,6 +19,7 @@ use crate::proto::{ErrorKind, Request, Response};
 use engine::Engine;
 use parking_lot::{Mutex, RwLock};
 use relstore::{Daemon, DaemonConfig, DaemonCore, DurableCatalog, Relation, Schema};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -116,7 +117,7 @@ impl Tenant {
             .name(format!("tenant-{name}-writer"))
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    let response = worker.handle_write(&job.request);
+                    let response = worker.handle_write(job.request);
                     worker.inflight.fetch_sub(1, Ordering::SeqCst);
                     let _ = job.reply.send(response);
                 }
@@ -142,17 +143,19 @@ impl Tenant {
 
     /// Handles one tenant-scoped request end to end, including
     /// admission control. Never blocks forever: writes wait for the
-    /// writer thread, reads run inline.
-    pub fn submit(&self, request: &Request) -> Response {
+    /// writer thread, reads run inline. An owned write moves into the
+    /// writer's queue; a borrowed one is copied there.
+    pub fn submit<'r>(&self, request: impl Into<Cow<'r, Request>>) -> Response {
+        let request = request.into();
         if !self.admit() {
             obs::counter(&obs::labeled("net_overloaded_total", "tenant", &self.name)).inc();
             return Response::Overloaded {
                 tenant: self.name.clone(),
             };
         }
-        match request {
+        match &*request {
             Request::Estimate { .. } | Request::SnapshotEpoch { .. } => {
-                let response = self.handle_read(request);
+                let response = self.handle_read(&request);
                 self.inflight.fetch_sub(1, Ordering::SeqCst);
                 response
             }
@@ -169,7 +172,7 @@ impl Tenant {
                 };
                 let (tx, rx) = crossbeam::channel::unbounded();
                 let job = WriteJob {
-                    request: request.clone(),
+                    request: request.into_owned(),
                     reply: tx,
                 };
                 if sender.send(job).is_err() {
@@ -223,7 +226,7 @@ impl Tenant {
         }
     }
 
-    fn handle_write(&self, request: &Request) -> Response {
+    fn handle_write(&self, request: Request) -> Response {
         match request {
             Request::LoadRelation {
                 name,
@@ -240,7 +243,7 @@ impl Tenant {
                         }
                     }
                 };
-                let relation = match Relation::from_columns(name.clone(), schema, values.clone()) {
+                let relation = match Relation::from_columns(name, schema, values) {
                     Ok(r) => r,
                     Err(e) => {
                         return Response::Error {
@@ -254,7 +257,7 @@ impl Tenant {
                 Response::Loaded { rows }
             }
             Request::Analyze { class, buckets, .. } => {
-                let spec = match BuilderSpec::parse(class, *buckets as usize) {
+                let spec = match BuilderSpec::parse(&class, buckets as usize) {
                     Ok(s) => s,
                     Err(e) => {
                         return Response::Error {

@@ -16,7 +16,7 @@
 //!   (count, geometric-mean Q-error, max Q-error, EWMA Q-error) and a
 //!   drift watchdog that flags scopes whose recent estimates degrade.
 //!   This is the query-feedback stream self-tuning histograms need.
-//! * [`trace`] — the provenance flight recorder: a bounded, lock-free,
+//! * [`trace`] — the provenance flight recorder: a bounded, batched,
 //!   per-thread log of structured trace events (span open/close, cache
 //!   probes, ladder rungs, statistics resolution, WAL and daemon
 //!   activity) with causal span ids and a global sequence, exportable

@@ -1,5 +1,5 @@
-//! The provenance flight recorder: an always-on, bounded, lock-free,
-//! per-thread log of structured trace events.
+//! The provenance flight recorder: an always-on, bounded, per-thread
+//! log of structured trace events.
 //!
 //! Every estimation-path subsystem emits typed events here — span
 //! open/close, estimation-cache probes (shard + epoch), ladder rung
@@ -8,25 +8,44 @@
 //! drift crossings. Each event carries:
 //!
 //! * a **global sequence number** (one atomic counter), so events from
-//!   different threads merge into one deterministic total order;
+//!   different threads merge into one total order that keeps each
+//!   thread's recording order;
 //! * a **causal span id** and its parent — allocated when a span opens,
 //!   threaded through every instant event recorded inside it — so a
 //!   cache miss can be traced to the exact `est_compute` span (and
 //!   query) that caused it;
-//! * a timestamp in nanoseconds relative to process start.
+//! * a timestamp in nanoseconds relative to process start, taken when
+//!   the event is recorded.
 //!
 //! # Recording discipline
 //!
-//! Each thread owns one bounded [`ArrayQueue`]; producers `force_push`,
-//! so a hot thread can only ever evict *its own* oldest events and
-//! recording never blocks or allocates a lock. Evictions are counted in
-//! `trace_events_dropped_total`. When a thread exits, its ring is
-//! drained into a bounded global retired buffer so short-lived worker
-//! threads (bench workers, server connections) don't lose their tail or
-//! leak their ring. A fork-join worker (`relstore::par_map`) instead
-//! [`capture`]s each item's events, unnumbered, and the joining thread
-//! [`publish`]es them in item order, so a parallel ANALYZE traces in
-//! one deterministic order.
+//! A thread holds the events of its outermost open traced span in a
+//! reused local batch and delivers them together. The batch is flushed
+//! when that span closes, when it reaches [`BATCH_CAPACITY`] events,
+//! when the thread calls [`drain_thread`], and when the thread exits;
+//! an event recorded outside any span is flushed at once.
+//! A flush numbers the batch with one `fetch_add` on the global
+//! sequence, so an event gets its sequence number at its flush, not at
+//! the moment it is recorded, and writes it into the thread's own
+//! bounded overwrite ring under that ring's lock, which only the owner
+//! and a drain ever take. A full ring evicts its oldest events; each
+//! flush adds its evictions to `trace_events_dropped_total` once.
+//!
+//! So sequence numbers are unique and follow recording order on each
+//! thread, and a span tree's events are numbered consecutively. Across
+//! threads they follow flush order: an event of a long span tree can be
+//! numbered after a later event of another thread. A [`drain`] does
+//! not see the events of a span tree still open on any thread, up to
+//! [`BATCH_CAPACITY`]` - 1` of them per thread; it sees them after the
+//! tree closes.
+//!
+//! When a thread exits, its ring is drained into a bounded global
+//! retired buffer so short-lived worker threads (bench workers, server
+//! connections) don't lose their tail or leak their ring. A fork-join
+//! worker (`relstore::par_map`) instead [`capture`]s each item's events,
+//! unnumbered, and the joining thread [`publish`]es them in item order,
+//! the same deferred numbering, so a parallel ANALYZE traces in one
+//! deterministic order.
 //!
 //! Tracing rides on the same process-wide master switch as the rest of
 //! `obs` — with [`crate::set_enabled`]`(false)` every emission is one
@@ -50,7 +69,6 @@
 
 use crate::export::JsonWriter;
 use crate::Recorder;
-use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
 use serde::ser::Serializer;
 use std::cell::RefCell;
@@ -60,6 +78,19 @@ use std::time::Instant;
 
 /// Events buffered per thread before the oldest are evicted.
 pub const THREAD_RING_CAPACITY: usize = 32_768;
+
+/// Bytes of one thread's ring buffer, allocated when the ring is
+/// created: 120 per event slot, more than [`THREAD_RING_CAPACITY`]
+/// events need. glibc raises its mmap and trim thresholds to the
+/// largest mmapped block freed, and rings are freed whenever a thread
+/// exits. With a 3.4 MB buffer, the minor page faults of eight 1.6 MB
+/// `LOAD_RELATION`s in a row (perfbench's `wire` set-up) rose from
+/// about 4k to 15k, and the loads took about 40 ms longer.
+const RING_BYTES: usize = THREAD_RING_CAPACITY * 120;
+
+/// Events a thread holds back before it flushes them to its ring even
+/// though their outermost span is still open.
+pub const BATCH_CAPACITY: usize = 256;
 
 /// Events kept from exited threads before the oldest are evicted.
 pub const RETIRED_CAPACITY: usize = 65_536;
@@ -114,10 +145,11 @@ pub enum TraceKind {
     /// lookups that contribute to a returned estimate).
     #[non_exhaustive]
     StatsResolved {
-        /// Catalog key display (`rel.col`).
-        key: String,
+        /// Catalog key display (`rel.col`), shared with the column's
+        /// statistics record.
+        key: Arc<str>,
         /// Histogram class name, or `none` when no histogram is stored.
-        class: String,
+        class: &'static str,
         /// Rung the resolution supports.
         rung: &'static str,
         /// Updates since the histogram was built (`u64::MAX` unknown).
@@ -214,7 +246,8 @@ pub enum TraceKind {
 /// One recorded event with its merge ordering and causal context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Globally unique, strictly increasing sequence number.
+    /// Globally unique sequence number, given when the event's batch is
+    /// flushed; increasing in recording order on each thread.
     pub seq: u64,
     /// Nanoseconds since process start.
     pub ts_ns: u64,
@@ -271,8 +304,8 @@ pub fn active() -> bool {
     crate::enabled() && Recorder::global().trace_enabled()
 }
 
-/// Global event sequence; `fetch_add` hands every event a unique,
-/// strictly increasing number regardless of which thread records it.
+/// Global event sequence; one `fetch_add` per flush hands every event
+/// of the batch a unique number, increasing in recording order.
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Span ids start at 1 so 0 can mean "no span" / "not traced".
@@ -306,7 +339,53 @@ pub fn dropped() -> u64 {
 
 struct ThreadRing {
     thread: u64,
-    ring: ArrayQueue<TraceEvent>,
+    /// Written only by the owning thread's flushes; a drain is the only
+    /// other locker. Its buffer is allocated once, at creation.
+    ring: Mutex<Ring>,
+}
+
+/// A single-writer overwrite ring holding the newest
+/// [`THREAD_RING_CAPACITY`] events in a buffer of [`RING_BYTES`]
+/// allocated once; the slots past that capacity are never written. A
+/// full ring overwrites its oldest event in place, so each event a
+/// flush writes touches one cold slot. A deque cycling through the
+/// whole buffer would evict at its head and write at its tail, two
+/// cold slots per event.
+struct Ring {
+    slots: Vec<TraceEvent>,
+    /// Once the ring is full, the slot holding the oldest event.
+    head: usize,
+}
+
+impl Ring {
+    fn new() -> Self {
+        let slots = RING_BYTES
+            .div_ceil(std::mem::size_of::<TraceEvent>())
+            .max(THREAD_RING_CAPACITY);
+        Self {
+            slots: Vec::with_capacity(slots),
+            head: 0,
+        }
+    }
+
+    /// Appends `event`, overwriting the oldest one when the ring is
+    /// full; returns whether an event was evicted.
+    fn push(&mut self, event: TraceEvent) -> bool {
+        if self.slots.len() < THREAD_RING_CAPACITY {
+            self.slots.push(event);
+            return false;
+        }
+        self.slots[self.head] = event;
+        self.head = (self.head + 1) % THREAD_RING_CAPACITY;
+        true
+    }
+
+    /// Moves every event into `out`, oldest first, keeping the buffer.
+    fn drain_into(&mut self, out: &mut Vec<TraceEvent>) {
+        let head = std::mem::take(&mut self.head);
+        out.extend(self.slots.drain(head..));
+        out.append(&mut self.slots);
+    }
 }
 
 fn live_rings() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
@@ -319,13 +398,15 @@ fn retired() -> &'static Mutex<Vec<TraceEvent>> {
     RETIRED.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// This thread's recording state. The drop glue retires the ring's
-/// contents so scoped workers keep their events.
+/// This thread's recording state. The drop glue flushes the batch and
+/// retires the ring's contents so scoped workers keep their events.
 struct ThreadTrace {
     ring: Arc<ThreadRing>,
     /// Ids of the spans open on this thread, outermost first, so
     /// instant events can name their enclosing span.
     span_ids: Vec<u64>,
+    /// Events recorded since the last flush, without sequence numbers.
+    batch: Vec<TraceEvent>,
     /// While [`capture`] runs: the events held back, without sequence
     /// numbers.
     captured: Option<Vec<TraceEvent>>,
@@ -335,12 +416,13 @@ impl ThreadTrace {
     fn new() -> Self {
         let ring = Arc::new(ThreadRing {
             thread: THREAD_SEQ.fetch_add(1, Ordering::Relaxed),
-            ring: ArrayQueue::new(THREAD_RING_CAPACITY),
+            ring: Mutex::new(Ring::new()),
         });
         live_rings().lock().push(Arc::clone(&ring));
         Self {
             ring,
             span_ids: Vec::new(),
+            batch: Vec::with_capacity(BATCH_CAPACITY),
             captured: None,
         }
     }
@@ -362,29 +444,48 @@ impl ThreadTrace {
         }
     }
 
-    /// Holds `event` back while capturing; otherwise gives it the next
-    /// global sequence number and pushes it onto this thread's ring.
-    fn deliver(&mut self, mut event: TraceEvent) {
+    /// Holds `event` back while capturing; otherwise adds it to the
+    /// batch, which is flushed once no traced span is open or it is
+    /// full.
+    fn deliver(&mut self, event: TraceEvent) {
         if let Some(held) = &mut self.captured {
             held.push(event);
             return;
         }
-        event.seq = SEQ.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.ring.ring.force_push(event).is_some() {
-            dropped_total().inc();
+        self.batch.push(event);
+        if self.span_ids.is_empty() || self.batch.len() >= BATCH_CAPACITY {
+            self.flush();
+        }
+    }
+
+    /// Numbers the batch with one `fetch_add` and moves it into the
+    /// ring, evicting the oldest events past [`THREAD_RING_CAPACITY`].
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let first = SEQ.fetch_add(self.batch.len() as u64, Ordering::Relaxed) + 1;
+        let mut ring = self.ring.ring.lock();
+        let mut evicted = 0;
+        for (seq, mut event) in (first..).zip(self.batch.drain(..)) {
+            event.seq = seq;
+            evicted += usize::from(ring.push(event));
+        }
+        drop(ring);
+        if evicted > 0 {
+            dropped_total().add(evicted as u64);
         }
     }
 }
 
 impl Drop for ThreadTrace {
     fn drop(&mut self) {
+        self.flush();
         let ring = &self.ring;
         // Moved under the retired lock, which `drain` holds throughout:
         // a drain sees each event in the ring or in the retired buffer.
         let mut buf = retired().lock();
-        while let Some(e) = ring.ring.pop() {
-            buf.push(e);
-        }
+        ring.ring.lock().drain_into(&mut buf);
         let excess = buf.len().saturating_sub(RETIRED_CAPACITY);
         if excess > 0 {
             buf.drain(..excess);
@@ -514,14 +615,14 @@ impl Recorder {
     /// surviving metadata supports, and the column's staleness.
     pub fn stats_resolved(
         &self,
-        key: &str,
-        class: Option<&str>,
+        key: &Arc<str>,
+        class: Option<&'static str>,
         rung: &'static str,
         staleness: Option<u64>,
     ) {
         record(self.trace_active(), || TraceKind::StatsResolved {
-            key: key.to_string(),
-            class: class.unwrap_or("none").to_string(),
+            key: Arc::clone(key),
+            class: class.unwrap_or("none"),
             rung,
             staleness: staleness.unwrap_or(u64::MAX),
         });
@@ -601,39 +702,32 @@ pub fn tune_skipped(key: &str, reason: &'static str) {
     });
 }
 
-/// Drains every buffered event — the retired buffer plus all live
-/// per-thread rings — merged into one sequence-ordered stream. Events
-/// recorded concurrently with the drain may land in the next drain.
+/// Drains every flushed event — the retired buffer plus all live
+/// per-thread rings — merged into one sequence-ordered stream. A batch
+/// still held by an open span tree is not seen, nor are events recorded
+/// concurrently with the drain: they land in a later drain.
 pub fn drain() -> Vec<TraceEvent> {
     let mut retired = retired().lock();
     let mut out: Vec<TraceEvent> = std::mem::take(&mut *retired);
     let rings: Vec<Arc<ThreadRing>> = live_rings().lock().clone();
     for r in rings {
-        // Bounded pop: a concurrent producer force-pushing while we
-        // drain must not extend this loop forever.
-        for _ in 0..THREAD_RING_CAPACITY {
-            match r.ring.pop() {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
+        r.ring.lock().drain_into(&mut out);
     }
     drop(retired);
     out.sort_by_key(|e| e.seq);
     out
 }
 
-/// Drains the calling thread's ring only, oldest first: the events this
-/// thread recorded or [`publish`]ed. It neither sees nor takes another
-/// thread's, so a caller whose emissions all happen on its own thread
-/// reads back exactly those.
+/// Drains the calling thread's ring only, oldest first, after flushing
+/// its batch: the events this thread recorded or [`publish`]ed. It
+/// neither sees nor takes another thread's, so a caller whose emissions
+/// all happen on its own thread reads back exactly those.
 pub fn drain_thread() -> Vec<TraceEvent> {
     LOCAL.with(|l| {
-        let ring = &l.borrow().ring.ring;
-        let mut out = Vec::with_capacity(ring.len());
-        while let Some(e) = ring.pop() {
-            out.push(e);
-        }
+        let mut l = l.borrow_mut();
+        l.flush();
+        let mut out = Vec::new();
+        l.ring.ring.lock().drain_into(&mut out);
         out
     })
 }
@@ -1009,7 +1103,7 @@ mod tests {
         set_trace_enabled(false);
         private.set_trace_enabled(true);
         private.rung_chosen(&"t.private".into(), "trivial");
-        Recorder::global().stats_resolved("t.global", None, "uniform", None);
+        Recorder::global().stats_resolved(&"t.global".into(), None, "uniform", None);
         set_trace_enabled(true);
         let kinds: Vec<TraceKind> = drain_thread().into_iter().map(|e| e.kind).collect();
         assert_eq!(
@@ -1032,7 +1126,7 @@ mod tests {
     fn jsonl_has_header_then_one_object_per_line() {
         let _guard = crate::test_lock();
         drain();
-        Recorder::global().stats_resolved("t.a", Some("v_opt_end_biased"), "spec", Some(0));
+        Recorder::global().stats_resolved(&"t.a".into(), Some("v_opt_end_biased"), "spec", Some(0));
         drift("col:t.a", 3.5, 2.0);
         let events = drain();
         let text = jsonl(&events);
@@ -1066,6 +1160,95 @@ mod tests {
         assert!(text.contains(r#""name":"trace_chrome_span""#));
         assert!(text.contains(r#""ph":"i""#), "instants become i: {text}");
         assert!(!text.contains("span_open"), "opens are implied by X events");
+    }
+
+    #[test]
+    fn a_span_trees_events_get_consecutive_sequence_numbers() {
+        let _guard = crate::test_lock();
+        drain();
+        let outer = crate::span("trace_tree_outer");
+        Recorder::global().cache_probe(false, 1, 1);
+        // Recorded outside any span on another thread, while this
+        // thread's tree is open: numbered first.
+        std::thread::scope(|s| {
+            s.spawn(|| daemon_sweep(501));
+        });
+        {
+            let _inner = crate::span("trace_tree_inner");
+            Recorder::global().rung_chosen(&"t.a".into(), "spec");
+        }
+        drop(outer);
+        let events = drain();
+        let me = events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::SpanOpen { path } if path == "trace_tree_outer"))
+            .expect("outer open recorded")
+            .thread;
+        let tree: Vec<&TraceEvent> = events.iter().filter(|e| e.thread == me).collect();
+        let names: Vec<&str> = tree.iter().map(|e| e.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "span_open",
+                "cache_miss",
+                "span_open",
+                "rung",
+                "span_close",
+                "span_close"
+            ]
+        );
+        assert!(
+            tree.windows(2).all(|w| w[1].seq == w[0].seq + 1),
+            "a span tree is numbered consecutively: {tree:?}"
+        );
+        let sweep = events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::DaemonSweep { tick: 501 }))
+            .expect("the other thread's event was recorded");
+        assert!(
+            sweep.seq < tree[0].seq,
+            "numbered when flushed, not when recorded"
+        );
+    }
+
+    #[test]
+    fn a_full_batch_is_visible_before_its_span_closes() {
+        let _guard = crate::test_lock();
+        drain();
+        let drain_elsewhere = || std::thread::scope(|s| s.spawn(drain).join().unwrap());
+        let sp = crate::span("trace_batch_full");
+        daemon_sweep(0);
+        let me = LOCAL.with(|l| l.borrow().ring.thread);
+        let mine = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
+            events.into_iter().filter(|e| e.thread == me).collect()
+        };
+        assert!(
+            mine(drain_elsewhere()).is_empty(),
+            "an open span tree's events are held back"
+        );
+        // With the open and the first sweep, BATCH_CAPACITY + 10 events.
+        for tick in 1..BATCH_CAPACITY as u64 + 9 {
+            daemon_sweep(tick);
+        }
+        let flushed = mine(drain_elsewhere());
+        assert_eq!(flushed.len(), BATCH_CAPACITY, "one full batch is flushed");
+        assert!(matches!(flushed[0].kind, TraceKind::SpanOpen { .. }));
+        drop(sp);
+        let rest = mine(drain_elsewhere());
+        assert_eq!(rest.len(), 11, "the rest is flushed when the span closes");
+        assert!(matches!(rest[10].kind, TraceKind::SpanClose { .. }));
+        assert_eq!(rest[0].seq, flushed[BATCH_CAPACITY - 1].seq + 1);
+    }
+
+    #[test]
+    fn an_event_outside_any_span_is_visible_at_once() {
+        let _guard = crate::test_lock();
+        drain();
+        daemon_sweep(4242);
+        let seen = std::thread::scope(|s| s.spawn(drain).join().unwrap());
+        assert!(seen
+            .iter()
+            .any(|e| matches!(e.kind, TraceKind::DaemonSweep { tick: 4242 })));
     }
 
     #[test]

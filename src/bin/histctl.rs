@@ -1694,11 +1694,14 @@ fn bench_runs_local(
         let store = Arc::clone(&store);
         let rels = rel_names.clone();
         std::thread::spawn(move || {
-            let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            // One sweep at least, even when the run stops before this
+            // thread is first scheduled.
+            for i in 0.. {
                 let _ = store.note_updates(&rels[i % rels.len()], 300);
                 daemon.sweep_now();
-                i += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
                 std::thread::sleep(Duration::from_millis(1));
             }
             daemon.stop()
