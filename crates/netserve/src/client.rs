@@ -124,7 +124,6 @@ pub struct Client {
     stream: Option<TcpStream>,
     policy: RetryPolicy,
     jitter: u64,
-    nodelay: bool,
 }
 
 fn resolve(addr: impl ToSocketAddrs) -> std::io::Result<SocketAddr> {
@@ -178,7 +177,6 @@ impl Client {
             stream: None,
             policy,
             jitter,
-            nodelay: true,
         }
     }
 
@@ -187,19 +185,8 @@ impl Client {
             Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
             None => TcpStream::connect(self.addr)?,
         };
-        stream.set_nodelay(self.nodelay)?;
+        stream.set_nodelay(true)?;
         Ok(stream)
-    }
-
-    /// Toggles `TCP_NODELAY` (applied to the live stream and to every
-    /// future reconnect). The latency benchmark uses this to measure
-    /// the Nagle penalty on single-op round-trips.
-    pub fn set_nodelay(&mut self, nodelay: bool) -> std::io::Result<()> {
-        self.nodelay = nodelay;
-        if let Some(stream) = &self.stream {
-            stream.set_nodelay(nodelay)?;
-        }
-        Ok(())
     }
 
     /// Counts a retry, emits its trace event, and sleeps the backoff.

@@ -238,12 +238,14 @@ PY
   fi
 done
 
-echo "==> bench smoke gate (deterministic digest + cache speedup)"
-# The load harness must (1) report the full histctl-bench-v1 schema,
-# (2) produce a byte-identical result digest across reruns with one
-# seed in --ops mode, and (3) show the cached single-lookup path at
-# least 10x faster than uncached recomputation. Timing fields vary run
-# to run by design; the digest and op counts may not.
+echo "==> bench smoke gate (deterministic digest + cache probe)"
+# The load harness must (1) report the histctl-bench-v2 schema, (2)
+# produce a byte-identical result digest across reruns with one seed,
+# and (3) pass its deterministic cache probe on a 2,048-value
+# equi-join: the repeat estimate is a cache hit, and its bits and
+# StatsUse trail equal the uncached recomputation's. How much cheaper a
+# hit is than a recompute is a perfbench measurement
+# (engine.estimate_hit_us against engine.compute_us), not a gate here.
 bench_a="$(mktemp)"
 bench_b="$(mktemp)"
 bench_remote="$(mktemp)"
@@ -260,29 +262,26 @@ import sys
 
 a = json.load(open(os.environ["BENCH_A"]))
 b = json.load(open(os.environ["BENCH_B"]))
-if a.get("schema") != "histctl-bench-v1":
+if a.get("schema") != "histctl-bench-v2":
     sys.exit(f"unexpected schema: {a.get('schema')}")
 if [r["threads"] for r in a["runs"]] != [1, 2, 4]:
     sys.exit(f"wrong thread counts: {[r['threads'] for r in a['runs']]}")
 for r in a["runs"]:
-    for field in ("ops", "throughput", "p50_ns", "p99_ns", "hit_rate", "digest"):
-        if field not in r:
-            sys.exit(f"run missing {field}: {r}")
+    if sorted(r) != ["digest", "ops", "threads"]:
+        sys.exit(f"run fields are not threads/ops/digest: {r}")
     if r["ops"] != r["threads"] * 200:
         sys.exit(f"wrong fixed op count: {r}")
-    if not (0.0 <= r["hit_rate"] <= 1.0):
-        sys.exit(f"hit rate out of range: {r}")
-    if r["p50_ns"] <= 0 or r["p99_ns"] < r["p50_ns"]:
-        sys.exit(f"implausible latency quantiles: {r}")
 da = [(r["threads"], r["ops"], r["digest"]) for r in a["runs"]]
 db = [(r["threads"], r["ops"], r["digest"]) for r in b["runs"]]
 if da != db:
     sys.exit(f"bench digests differ across reruns with one seed:\n{da}\n{db}")
-speedup = a["speedup"]["speedup"]
-if speedup < 10.0:
-    sys.exit(f"cached single lookup only {speedup}x faster than uncached (< 10x)")
-# The committed trajectory artifact must exist and carry >= 4-thread
-# scaling data under the same schema.
+probe = a.get("probe", {})
+if probe.get("cache_hit") is not True:
+    sys.exit(f"the repeated probe estimate was not a cache hit: {probe}")
+if probe.get("matches_uncached") is not True:
+    sys.exit(f"the cached probe estimate differs from the uncached one: {probe}")
+# The committed trajectory artifact, a histctl-bench-v1 report kept as
+# it was written, must exist and carry >= 4-thread scaling data.
 c = json.load(open("BENCH_pr5.json"))
 if c.get("schema") != "histctl-bench-v1":
     sys.exit("BENCH_pr5.json missing or not a histctl-bench-v1 report")
@@ -292,7 +291,7 @@ if c["speedup"]["speedup"] < 10.0:
     sys.exit("BENCH_pr5.json records a sub-10x cache speedup")
 PY
 then
-  echo "error: bench smoke gate failed (schema, determinism, or speedup)" >&2
+  echo "error: bench smoke gate failed (schema, determinism, or cache probe)" >&2
   exit 1
 fi
 
@@ -409,13 +408,9 @@ dd = [(r["threads"], r["ops"], r["digest"]) for r in direct["runs"]]
 dc = [(r["threads"], r["ops"], r["digest"]) for r in chaos["runs"]]
 if dd != dc:
     sys.exit(f"chaotic digests differ from direct digests:\n{dd}\n{dc}")
-for report, label in ((direct, "direct"), (chaos, "chaos")):
-    nodelay = report.get("nodelay")
-    if not nodelay or not nodelay.get("on_median_ns") or not nodelay.get("off_median_ns"):
-        sys.exit(f"{label} remote report missing the nodelay latency probe: {nodelay}")
 PY
 then
-  echo "error: chaos-convergence gate failed (digests or nodelay probe)" >&2
+  echo "error: chaos-convergence gate failed (digests differ)" >&2
   exit 1
 fi
 if ! grep -q 'chaos proxy stopped' "$chaos_log"; then

@@ -124,19 +124,18 @@ commands:
                  matrix; prints a deterministic JSON report and exits
                  nonzero on any violation. --emit-snapshot writes the
                  seed's reference catalog; --snapshot verifies one first)
-  bench         [--threads LIST] [--duration-ms D | --ops N]
-                [--workload selfjoin|chain|range] [--remote HOST:PORT]
-                [--retries N] [--seed S] [--buckets B] [--class CLASS]
-                [--json] [--out FILE.json]
-                (closed-loop estimation load harness: T concurrent
-                 threads drive cached estimates over an oracle-generated
-                 query pool while the maintenance daemon churns the
-                 catalog with ANALYZE refreshes; reports throughput,
-                 p50/p99 latency from the obs log2 histograms, cache hit
-                 rate, and the cached-vs-uncached single-lookup speedup.
-                 --threads takes a comma list ('1,2,4'); --ops runs a
-                 fixed per-thread operation count whose result digest is
+  bench         [--threads LIST] [--ops N] [--workload selfjoin|chain|range]
+                [--remote HOST:PORT] [--retries N] [--seed S] [--buckets B]
+                [--class CLASS] [--json] [--out FILE.json]
+                (seeded estimation load harness whose result is a digest:
+                 at each thread count in --threads ('1,2,4'), every
+                 thread issues --ops N (default 2000) cached estimates
+                 over an oracle-generated query pool while the
+                 maintenance daemon churns the catalog with ANALYZE
+                 refreshes; the digest of every estimate's bits is
                  byte-identical across reruns with the same --seed.
+                 The report also checks that a repeated estimate is a
+                 cache hit with the uncached estimate's bits and trail.
                  --workload range mixes point, comparison, BETWEEN, and
                  band-join queries through the cache. --remote drives
                  the identical query stream over the wire against a
@@ -146,8 +145,7 @@ commands:
                  seed — the serving layer adds latency, never error.
                  --retries N arms the fault-tolerant client on every
                  remote connection, so the bench converges even through
-                 the chaos proxy; remote reports also record the
-                 TCP_NODELAY on/off single-op round-trip medians)
+                 the chaos proxy. Timing is perfbench's job)
 
 CLASS names a registered histogram builder (default v_opt_end_biased),
 optionally with an explicit budget: 'max_diff', 'equi_depth:20', or
@@ -1286,46 +1284,105 @@ fn fnv1a(digest: u64, word: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Per-thread-count results of one bench run.
+/// One thread count's result: the op total and the digest of every
+/// estimate's query index and bit pattern.
 struct BenchRun {
     threads: usize,
     ops: u64,
-    elapsed_ms: f64,
-    throughput: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-    hit_rate: f64,
-    evictions: u64,
     digest: u64,
 }
 
-/// Closed-loop estimation load harness. Builds an oracle-generated
-/// relation set and query pool, attaches the engine to a journaled
-/// catalog whose maintenance daemon keeps re-ANALYZEing columns (so the
-/// catalog epoch advances while readers run), then drives concurrent
-/// cached estimates at each requested thread count.
-///
-/// Determinism: with `--ops N` every thread issues exactly N estimates
-/// chosen by a seeded SplitMix64 stream, and the churn daemon rebuilds
-/// histograms from *unchanged* relations with the *same* builder spec —
-/// epochs advance but every recomputed estimate is bit-identical, so
-/// the reported digest is byte-stable across reruns with one `--seed`.
-/// Timing fields (throughput, quantiles) naturally vary; the digest and
-/// op counts do not.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    use std::time::Instant;
+/// The seeded op stream every bench transport drives.
+struct OpStream<'a> {
+    thread_counts: &'a [usize],
+    seed: u64,
+    /// Estimates per worker thread.
+    ops: u64,
+}
 
+impl OpStream<'_> {
+    /// The one worker loop behind both transports. At each thread
+    /// count, every worker builds its estimator with `worker(index)` and
+    /// issues `ops` estimates of pool queries drawn from a SplitMix64
+    /// stream keyed by `(seed, threads, worker)`, folding each query
+    /// index and estimate bit pattern into an FNV-1a digest. Worker
+    /// digests fold in worker order, so the combined digest depends on
+    /// neither the schedule nor the transport.
+    fn run<F, W>(&self, pool_len: usize, worker: F) -> Result<Vec<BenchRun>, String>
+    where
+        F: Fn(usize) -> Result<W, String> + Sync,
+        W: FnMut(usize) -> Result<f64, String>,
+    {
+        self.thread_counts
+            .iter()
+            .map(|&threads| {
+                let digests: Vec<u64> = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|index| {
+                            let worker = &worker;
+                            s.spawn(move || {
+                                let mut estimate = worker(index)?;
+                                let mut state = self.seed
+                                    ^ ((threads as u64) << 32)
+                                    ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                                let mut digest = FNV_OFFSET;
+                                for _ in 0..self.ops {
+                                    let idx = (splitmix64(&mut state) % pool_len as u64) as usize;
+                                    digest = fnv1a(digest, idx as u64);
+                                    digest = fnv1a(digest, estimate(idx)?.to_bits());
+                                }
+                                Ok(digest)
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join()
+                                .unwrap_or_else(|_| Err("bench worker panicked".into()))
+                        })
+                        .collect::<Result<_, String>>()
+                })?;
+                Ok(BenchRun {
+                    threads,
+                    ops: self.ops * threads as u64,
+                    digest: digests.into_iter().fold(FNV_OFFSET, fnv1a),
+                })
+            })
+            .collect()
+    }
+}
+
+/// Seeded estimation load harness whose result is a digest, not a
+/// timing (`perfbench` owns timing). Builds an oracle-generated
+/// relation set and query pool, then drives the seeded op stream at
+/// each requested thread count: in process against a journaled catalog
+/// whose maintenance daemon keeps re-ANALYZEing columns (so the catalog
+/// epoch advances while readers run), or over the wire with `--remote`.
+///
+/// Determinism: every thread issues exactly `--ops` estimates, and the
+/// churn daemon rebuilds histograms from *unchanged* relations with the
+/// *same* builder spec — epochs advance but every recomputed estimate
+/// is bit-identical, so the reported digest is byte-stable across
+/// reruns with one `--seed` and equal across transports.
+fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
+    if flags.contains_key("duration-ms") {
+        return Err(
+            "--duration-ms is no longer supported: bench runs a fixed --ops N \
+             estimates per thread (default 2000)"
+                .into(),
+        );
+    }
     let seed: u64 = flags
         .get("seed")
         .map(|s| parse_num(s, "seed"))
         .transpose()?
         .unwrap_or(42);
-    let duration_ms: u64 = flags
-        .get("duration-ms")
-        .map(|s| parse_num(s, "duration-ms"))
+    let ops: u64 = flags
+        .get("ops")
+        .map(|s| parse_num(s, "ops"))
         .transpose()?
-        .unwrap_or(500);
-    let ops: Option<u64> = flags.get("ops").map(|s| parse_num(s, "ops")).transpose()?;
+        .unwrap_or(2000);
     let workload = flags
         .get("workload")
         .map(String::as_str)
@@ -1351,8 +1408,11 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     if thread_counts.is_empty() || thread_counts.contains(&0) {
         return Err("--threads needs a comma list of positive counts".into());
     }
-
-    obs::register_well_known();
+    let stream = OpStream {
+        thread_counts: &thread_counts,
+        seed,
+        ops,
+    };
 
     // Relations and queries come from the oracle's seed-deterministic
     // workload generator, so `bench` exercises the same distribution
@@ -1362,47 +1422,88 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let wl = oracle::Workload::generate(seed, oracle::Tier::Quick);
     let (relations, sql_pool) = bench_workload(&wl, workload)?;
     let remote = flags.get("remote");
-    let retries: u32 = flags
-        .get("retries")
-        .map(|s| parse_num(s, "retries"))
-        .transpose()?
-        .unwrap_or(0);
-    let mut nodelay_probe = None;
     let runs = match remote {
         Some(addr) => {
             let class = flags
                 .get("class")
                 .map(String::as_str)
                 .unwrap_or("v_opt_end_biased");
-            let runs = bench_runs_remote(
+            let retries: u32 = flags
+                .get("retries")
+                .map(|s| parse_num(s, "retries"))
+                .transpose()?
+                .unwrap_or(0);
+            bench_runs_remote(
+                &stream,
                 addr,
                 class,
                 buckets as u32,
                 &relations,
                 &sql_pool,
-                &thread_counts,
-                seed,
-                ops,
-                duration_ms,
                 retries,
-            )?;
-            nodelay_probe = Some(remote_nodelay_probe(addr, seed, retries)?);
-            runs
+            )?
         }
-        None => bench_runs_local(
-            &relations,
-            &sql_pool,
-            &thread_counts,
-            seed,
-            ops,
-            duration_ms,
-            spec,
-        )?,
+        None => bench_runs_local(&stream, &relations, &sql_pool, spec)?,
     };
+    let (probe_hit, probe_matches) = bench_cache_probe(seed, spec)?;
 
-    // Cached-vs-uncached single-lookup probe: a join over a wide domain
-    // (2048 distinct values) where recomputation walks the dictionaries
-    // while a cache hit is one shard probe plus a StatsUse replay.
+    let transport = if remote.is_some() {
+        "remote"
+    } else {
+        "inprocess"
+    };
+    let json = {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"threads\":{},\"ops\":{},\"digest\":\"{:016x}\"}}",
+                    r.threads, r.ops, r.digest
+                )
+            })
+            .collect();
+        format!(
+            "{{\"schema\":\"histctl-bench-v2\",\"seed\":{seed},\"workload\":\"{workload}\",\
+             \"transport\":\"{transport}\",\"class\":\"{}\",\"buckets\":{buckets},\
+             \"queries\":{},\"runs\":[{}],\
+             \"probe\":{{\"cache_hit\":{probe_hit},\"matches_uncached\":{probe_matches}}}}}",
+            spec.name(),
+            sql_pool.len(),
+            runs.join(",")
+        )
+    };
+    if let Some(path) = flags.get("out") {
+        std::fs::write(path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
+    }
+    if flags.contains_key("json") {
+        outln!("{json}");
+    } else {
+        outln!(
+            "bench: workload={workload} transport={transport} seed={seed} queries={} \
+             ops/thread={ops}",
+            sql_pool.len()
+        );
+        for r in &runs {
+            outln!(
+                "  threads {:>2}: {:>8} ops  digest {:016x}",
+                r.threads,
+                r.ops,
+                r.digest
+            );
+        }
+        outln!(
+            "  cache probe: repeat hit {probe_hit}, bits and trail equal uncached {probe_matches}"
+        );
+    }
+    Ok(())
+}
+
+/// The deterministic cache check on a join over a wide domain (2048
+/// distinct values): estimates it twice through the cache and once
+/// uncached. Returns whether the first estimate computed and the repeat
+/// was a cache hit, and whether the hit returned the uncached estimate's
+/// bits and `StatsUse` trail.
+fn bench_cache_probe(seed: u64, spec: BuilderSpec) -> Result<(bool, bool), String> {
     let mut probe = engine::Engine::new();
     for (name, rows, z, sub) in [
         ("probe_l", 200_000u64, 1.1f64, 0xabcdu64),
@@ -1417,118 +1518,19 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let pq = probe
         .parse("SELECT COUNT(*) FROM probe_l, probe_r WHERE probe_l.v = probe_r.v")
         .map_err(|e| e.to_string())?;
-    probe
-        .estimate_with_sources(&pq)
-        .map_err(|e| e.to_string())?; // warm the cache
-    let median = |mut v: Vec<u64>| -> u64 {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    const TRIALS: usize = 501;
-    let cached_median = median(
-        (0..TRIALS)
-            .map(|_| {
-                let t0 = Instant::now();
-                probe.estimate_with_sources(&pq).expect("cached probe");
-                t0.elapsed().as_nanos() as u64
-            })
-            .collect(),
-    );
-    let uncached_median = median(
-        (0..TRIALS)
-            .map(|_| {
-                let t0 = Instant::now();
-                probe
-                    .estimate_with_sources_uncached(&pq)
-                    .expect("uncached probe");
-                t0.elapsed().as_nanos() as u64
-            })
-            .collect(),
-    );
-    let speedup = uncached_median as f64 / cached_median.max(1) as f64;
-
-    let mode = if ops.is_some() { "ops" } else { "duration" };
-    let transport = if remote.is_some() {
-        "remote"
-    } else {
-        "inprocess"
-    };
-    let json = {
-        let mut s = format!(
-            "{{\"schema\":\"histctl-bench-v1\",\"seed\":{seed},\"workload\":\"{workload}\",\
-             \"transport\":\"{transport}\",\
-             \"class\":\"{}\",\"buckets\":{buckets},\"mode\":\"{mode}\",\"queries\":{},\
-             \"runs\":[",
-            spec.name(),
-            sql_pool.len()
-        );
-        for (i, r) in runs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"threads\":{},\"ops\":{},\"elapsed_ms\":{:.3},\"throughput\":{:.1},\
-                 \"p50_ns\":{},\"p99_ns\":{},\"hit_rate\":{:.4},\"evictions\":{},\
-                 \"digest\":\"{:016x}\"}}",
-                r.threads,
-                r.ops,
-                r.elapsed_ms,
-                r.throughput,
-                r.p50_ns,
-                r.p99_ns,
-                r.hit_rate,
-                r.evictions,
-                r.digest
-            ));
-        }
-        s.push_str(&format!(
-            "],\"speedup\":{{\"cached_median_ns\":{cached_median},\
-             \"uncached_median_ns\":{uncached_median},\"speedup\":{speedup:.1}}}"
-        ));
-        if let Some((on_ns, off_ns)) = nodelay_probe {
-            s.push_str(&format!(
-                ",\"nodelay\":{{\"on_median_ns\":{on_ns},\"off_median_ns\":{off_ns}}}"
-            ));
-        }
-        s.push('}');
-        s
-    };
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if flags.contains_key("json") {
-        outln!("{json}");
-    } else {
-        outln!(
-            "bench: workload={workload} transport={transport} seed={seed} queries={} mode={mode}",
-            sql_pool.len()
-        );
-        for r in &runs {
-            outln!(
-                "  threads {:>2}: {:>8} ops in {:>8.1} ms  ({:>10.0} ops/s)  \
-                 p50 {:>6} ns  p99 {:>7} ns  hit rate {:.1}%  digest {:016x}",
-                r.threads,
-                r.ops,
-                r.elapsed_ms,
-                r.throughput,
-                r.p50_ns,
-                r.p99_ns,
-                r.hit_rate * 100.0,
-                r.digest
-            );
-        }
-        outln!(
-            "  single lookup: cached {cached_median} ns vs uncached {uncached_median} ns \
-             ({speedup:.1}x)"
-        );
-        if let Some((on_ns, off_ns)) = nodelay_probe {
-            outln!(
-                "  wire round-trip: nodelay on {on_ns} ns vs off {off_ns} ns \
-                 (single-op median)"
-            );
-        }
-    }
-    Ok(())
+    let (_, _, first) = probe
+        .estimate_with_provenance(&pq)
+        .map_err(|e| e.to_string())?;
+    let (cached, cached_trail, repeat) = probe
+        .estimate_with_provenance(&pq)
+        .map_err(|e| e.to_string())?;
+    let (uncached, uncached_trail) = probe
+        .estimate_with_sources_uncached(&pq)
+        .map_err(|e| e.to_string())?;
+    Ok((
+        !first.cache_hit && repeat.cache_hit,
+        cached.to_bits() == uncached.to_bits() && cached_trail == uncached_trail,
+    ))
 }
 
 /// Builds the bench's relations (each a single column `v`) and SQL
@@ -1540,6 +1542,12 @@ fn bench_workload(
     wl: &oracle::Workload,
     workload: &str,
 ) -> Result<(Vec<Relation>, Vec<String>), String> {
+    // Every relation is one medium set's frequencies in a column `v`,
+    // seeded with the workload's `sub`-th subseed.
+    let relation = |name: String, set: &oracle::workload::NamedSet, sub: u64| {
+        relation_from_frequency_set(name, "v", &set.freqs, wl.subseed(sub))
+            .map_err(|e| e.to_string())
+    };
     let mut relations = Vec::new();
     let mut sql_pool: Vec<String> = Vec::new();
     match workload {
@@ -1550,15 +1558,7 @@ fn bench_workload(
             for (i, set) in wl.medium_sets.iter().enumerate() {
                 let n = set.freqs.len();
                 for (suffix, sub) in [("l", 0u64), ("r", 1u64)] {
-                    let name = format!("t{i}{suffix}");
-                    let rel = relation_from_frequency_set(
-                        &name,
-                        "v",
-                        &set.freqs,
-                        wl.subseed(2 * i as u64 + sub),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    relations.push(rel);
+                    relations.push(relation(format!("t{i}{suffix}"), set, 2 * i as u64 + sub)?);
                 }
                 sql_pool.push(format!(
                     "SELECT COUNT(*) FROM t{i}l, t{i}r WHERE t{i}l.v = t{i}r.v"
@@ -1583,15 +1583,7 @@ fn bench_workload(
             for (i, set) in wl.medium_sets.iter().enumerate() {
                 let n = set.freqs.len() as u64;
                 for (suffix, sub) in [("l", 0u64), ("r", 1u64)] {
-                    let name = format!("t{i}{suffix}");
-                    let rel = relation_from_frequency_set(
-                        &name,
-                        "v",
-                        &set.freqs,
-                        wl.subseed(2 * i as u64 + sub),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    relations.push(rel);
+                    relations.push(relation(format!("t{i}{suffix}"), set, 2 * i as u64 + sub)?);
                 }
                 let (q1, mid, q3) = (n / 4, n / 2, 3 * n / 4);
                 sql_pool.push(format!("SELECT COUNT(*) FROM t{i}l WHERE t{i}l.v = {mid}"));
@@ -1614,10 +1606,7 @@ fn bench_workload(
             // relations two and three deep (§2.2's vector/matrix shape
             // collapsed to shared-domain chains).
             for (i, set) in wl.medium_sets.iter().enumerate() {
-                let name = format!("c{i}");
-                let rel = relation_from_frequency_set(&name, "v", &set.freqs, wl.subseed(i as u64))
-                    .map_err(|e| e.to_string())?;
-                relations.push(rel);
+                relations.push(relation(format!("c{i}"), set, i as u64)?);
             }
             let m = wl.medium_sets.len();
             for i in 0..m.saturating_sub(2) {
@@ -1640,23 +1629,18 @@ fn bench_workload(
 }
 
 /// In-process bench transport: the engine attached to a journaled
-/// catalog whose maintenance daemon keeps re-ANALYZEing columns (so the
-/// catalog epoch advances under the readers' feet) while worker threads
-/// drive concurrent cached estimates.
-#[allow(clippy::too_many_arguments)]
+/// catalog whose maintenance daemon keeps re-ANALYZEing columns, so the
+/// catalog epoch advances under the workers' feet.
 fn bench_runs_local(
+    stream: &OpStream<'_>,
     relations: &[Relation],
     sql_pool: &[String],
-    thread_counts: &[usize],
-    seed: u64,
-    ops: Option<u64>,
-    duration_ms: u64,
     spec: BuilderSpec,
 ) -> Result<Vec<BenchRun>, String> {
     use relstore::{Daemon, DaemonConfig, DaemonCore, DurableCatalog};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let mut eng = engine::Engine::new();
     let dir = std::env::temp_dir().join(format!("histctl_bench_{}", std::process::id()));
@@ -1665,7 +1649,7 @@ fn bench_runs_local(
     eng.attach_catalog(store.catalog_arc());
 
     let mut core = DaemonCore::new(DaemonConfig {
-        jitter_seed: seed,
+        jitter_seed: stream.seed,
         ..DaemonConfig::default()
     });
     let mut rel_names = Vec::new();
@@ -1692,12 +1676,11 @@ fn bench_runs_local(
     let churn = {
         let stop = Arc::clone(&stop);
         let store = Arc::clone(&store);
-        let rels = rel_names.clone();
         std::thread::spawn(move || {
             // One sweep at least, even when the run stops before this
             // thread is first scheduled.
             for i in 0.. {
-                let _ = store.note_updates(&rels[i % rels.len()], 300);
+                let _ = store.note_updates(&rel_names[i % rel_names.len()], 300);
                 daemon.sweep_now();
                 if stop.load(Ordering::Relaxed) {
                     break;
@@ -1708,126 +1691,36 @@ fn bench_runs_local(
         })
     };
 
-    let hit_counter = obs::counter("est_cache_hit_total");
-    let miss_counter = obs::counter("est_cache_miss_total");
-    let evict_counter = obs::counter("est_cache_evict_total");
-    let mut runs: Vec<BenchRun> = Vec::new();
-    for &threads in thread_counts {
-        let (hits0, miss0, evict0) = (hit_counter.get(), miss_counter.get(), evict_counter.get());
-        let hist = obs::histogram(&obs::labeled(
-            "bench_estimate_ns",
-            "threads",
-            &threads.to_string(),
-        ));
-        let started = Instant::now();
-        let per_thread: Vec<(u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let (eng, pool, hist) = (&eng, &pool, &hist);
-                    s.spawn(move || {
-                        let mut state = seed
-                            ^ ((threads as u64) << 32)
-                            ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        let mut digest = FNV_OFFSET;
-                        let mut n = 0u64;
-                        let deadline = Instant::now() + Duration::from_millis(duration_ms);
-                        loop {
-                            match ops {
-                                Some(k) if n >= k => break,
-                                None if Instant::now() >= deadline => break,
-                                _ => {}
-                            }
-                            let idx = (splitmix64(&mut state) % pool.len() as u64) as usize;
-                            let t0 = Instant::now();
-                            let (est, _) = eng
-                                .estimate_with_sources(&pool[idx])
-                                .expect("bench estimate");
-                            hist.observe_ns(t0.elapsed().as_nanos() as u64);
-                            digest = fnv1a(digest, idx as u64);
-                            digest = fnv1a(digest, est.to_bits());
-                            n += 1;
-                        }
-                        (n, digest)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bench worker"))
-                .collect()
-        });
-        let elapsed = started.elapsed();
-        let total_ops: u64 = per_thread.iter().map(|(n, _)| n).sum();
-        // Thread digests fold in worker-index order, so the combined
-        // digest is schedule-independent.
-        let digest = per_thread.iter().fold(FNV_OFFSET, |d, &(_, t)| fnv1a(d, t));
-        let (hits, misses) = (hit_counter.get() - hits0, miss_counter.get() - miss0);
-        let probes = hits + misses;
-        runs.push(BenchRun {
-            threads,
-            ops: total_ops,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            throughput: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-            p50_ns: hist.quantile_ns(0.5).unwrap_or(0),
-            p99_ns: hist.quantile_ns(0.99).unwrap_or(0),
-            hit_rate: if probes == 0 {
-                0.0
-            } else {
-                hits as f64 / probes as f64
-            },
-            evictions: evict_counter.get() - evict0,
-            digest,
-        });
-    }
-
-    // Stop the churn before the caller's speedup probe so the cached
-    // side measures steady-state hits, not epoch-bump recomputations.
+    let (eng, pool) = (&eng, &pool);
+    let runs = stream.run(pool.len(), move |_| {
+        Ok(move |idx: usize| eng.estimate(&pool[idx]).map_err(|e| e.to_string()))
+    });
     stop.store(true, Ordering::Relaxed);
     churn
         .join()
         .map_err(|_| "churn thread panicked".to_string())?;
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(runs)
+    runs
 }
 
-/// Reads one unlabeled counter's value out of a Prometheus exposition.
-/// Missing counters read as zero, so METRICS deltas stay well-defined
-/// against a server that has not touched a family yet.
-fn prom_counter(text: &str, name: &str) -> u64 {
-    text.lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .and_then(|value| value.trim().parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Remote bench transport: the identical query stream driven over the
-/// VOHW wire protocol against a `serve --listen` server, one connection
-/// per worker thread. Cache statistics come from METRICS counter deltas
-/// (the estimation cache lives in the server process). There is no
-/// churn daemon on this path — the remote tenant's statistics are built
-/// once by the initial ANALYZE — and the oracle's
-/// `wire_equals_inprocess` invariant guarantees every wire estimate is
-/// bit-identical to its in-process twin, so the digests reported here
-/// must equal an in-process run's with the same seed and op count.
-#[allow(clippy::too_many_arguments)]
+/// Remote bench transport: the bench relations loaded into a `bench`
+/// tenant of a `serve --listen` server and ANALYZEd once, then the same
+/// op stream over VOHW, one connection per worker. There is no churn
+/// daemon on this path, and the oracle's `wire_equals_inprocess`
+/// invariant guarantees every wire estimate is bit-identical to its
+/// in-process twin, so the digests must equal an in-process run's with
+/// the same seed and op count.
 fn bench_runs_remote(
+    stream: &OpStream<'_>,
     addr: &str,
     class: &str,
     buckets: u32,
     relations: &[Relation],
     sql_pool: &[String],
-    thread_counts: &[usize],
-    seed: u64,
-    ops: Option<u64>,
-    duration_ms: u64,
     retries: u32,
 ) -> Result<Vec<BenchRun>, String> {
-    use std::time::{Duration, Instant};
-
     const TENANT: &str = "bench";
+    let seed = stream.seed;
     let mut admin = netserve::Client::connect_with_retry(addr, bench_retry_policy(seed, retries))
         .map_err(|e| format!("connect {addr}: {e}"))?;
     for rel in relations {
@@ -1851,85 +1744,19 @@ fn bench_runs_remote(
         .analyze(TENANT, class, buckets)
         .map_err(|e| format!("remote ANALYZE: {e}"))?;
 
-    let mut runs = Vec::new();
-    for &threads in thread_counts {
-        let before = admin.metrics().map_err(|e| e.to_string())?;
-        let hist = obs::histogram(&obs::labeled(
-            "bench_estimate_ns",
-            "threads",
-            &threads.to_string(),
-        ));
-        let started = Instant::now();
-        let per_thread: Vec<(u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let hist = &hist;
-                    s.spawn(move || {
-                        // Distinct jitter seeds per worker so retrying
-                        // clients fan out instead of stampeding.
-                        let policy = bench_retry_policy(seed ^ (worker as u64 + 1), retries);
-                        let mut client = netserve::Client::connect_with_retry(addr, policy)
-                            .expect("bench connect");
-                        let mut state = seed
-                            ^ ((threads as u64) << 32)
-                            ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        let mut digest = FNV_OFFSET;
-                        let mut n = 0u64;
-                        let deadline = Instant::now() + Duration::from_millis(duration_ms);
-                        loop {
-                            match ops {
-                                Some(k) if n >= k => break,
-                                None if Instant::now() >= deadline => break,
-                                _ => {}
-                            }
-                            let idx = (splitmix64(&mut state) % sql_pool.len() as u64) as usize;
-                            let t0 = Instant::now();
-                            let (est, _) = client
-                                .estimate(TENANT, &sql_pool[idx])
-                                .expect("remote estimate");
-                            hist.observe_ns(t0.elapsed().as_nanos() as u64);
-                            digest = fnv1a(digest, idx as u64);
-                            digest = fnv1a(digest, est.to_bits());
-                            n += 1;
-                        }
-                        (n, digest)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bench worker"))
-                .collect()
-        });
-        let elapsed = started.elapsed();
-        let after = admin.metrics().map_err(|e| e.to_string())?;
-        let total_ops: u64 = per_thread.iter().map(|(n, _)| n).sum();
-        // Thread digests fold in worker-index order, so the combined
-        // digest is schedule-independent — and transport-independent.
-        let digest = per_thread.iter().fold(FNV_OFFSET, |d, &(_, t)| fnv1a(d, t));
-        let hits = prom_counter(&after, "est_cache_hit_total")
-            - prom_counter(&before, "est_cache_hit_total");
-        let misses = prom_counter(&after, "est_cache_miss_total")
-            - prom_counter(&before, "est_cache_miss_total");
-        let probes = hits + misses;
-        runs.push(BenchRun {
-            threads,
-            ops: total_ops,
-            elapsed_ms: elapsed.as_secs_f64() * 1e3,
-            throughput: total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-            p50_ns: hist.quantile_ns(0.5).unwrap_or(0),
-            p99_ns: hist.quantile_ns(0.99).unwrap_or(0),
-            hit_rate: if probes == 0 {
-                0.0
-            } else {
-                hits as f64 / probes as f64
-            },
-            evictions: prom_counter(&after, "est_cache_evict_total")
-                - prom_counter(&before, "est_cache_evict_total"),
-            digest,
-        });
-    }
-    Ok(runs)
+    stream.run(sql_pool.len(), |worker| {
+        // Distinct jitter seeds per worker so retrying clients fan out
+        // instead of stampeding.
+        let policy = bench_retry_policy(seed ^ (worker as u64 + 1), retries);
+        let mut client = netserve::Client::connect_with_retry(addr, policy)
+            .map_err(|e| format!("connect {addr}: {e}"))?;
+        Ok(move |idx: usize| {
+            client
+                .estimate(TENANT, &sql_pool[idx])
+                .map(|(est, _)| est)
+                .map_err(|e| format!("remote estimate: {e}"))
+        })
+    })
 }
 
 /// The remote bench's retry schedule: short backoffs (5 ms base,
@@ -1943,35 +1770,6 @@ fn bench_retry_policy(seed: u64, retries: u32) -> netserve::RetryPolicy {
         seed,
         ..netserve::RetryPolicy::default()
     }
-}
-
-/// Measures the single-op (PING) round-trip median with `TCP_NODELAY`
-/// on and off on the client socket. The server side always runs with
-/// `TCP_NODELAY`, so this isolates the client-side Nagle penalty —
-/// the before/after pair recorded in the remote bench report.
-fn remote_nodelay_probe(addr: &str, seed: u64, retries: u32) -> Result<(u64, u64), String> {
-    use std::time::Instant;
-
-    const TRIALS: usize = 101;
-    let mut medians = [0u64; 2];
-    for (slot, nodelay) in [(0usize, true), (1usize, false)] {
-        let mut client =
-            netserve::Client::connect_with_retry(addr, bench_retry_policy(seed, retries))
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-        client
-            .set_nodelay(nodelay)
-            .map_err(|e| format!("set_nodelay({nodelay}): {e}"))?;
-        let mut samples: Vec<u64> = (0..TRIALS)
-            .map(|_| {
-                let t0 = Instant::now();
-                client.ping().map_err(|e| format!("probe ping: {e}"))?;
-                Ok(t0.elapsed().as_nanos() as u64)
-            })
-            .collect::<Result<_, String>>()?;
-        samples.sort_unstable();
-        medians[slot] = samples[samples.len() / 2];
-    }
-    Ok((medians[0], medians[1]))
 }
 
 fn main() -> ExitCode {

@@ -422,28 +422,81 @@ fn bench_reports_the_full_schema_with_nonzero_ops() {
     );
     let json = String::from_utf8_lossy(&out.stdout);
     for field in [
-        "\"schema\":\"histctl-bench-v1\"",
+        "\"schema\":\"histctl-bench-v2\"",
         "\"seed\":11",
         "\"workload\":\"selfjoin\"",
-        "\"mode\":\"ops\"",
+        "\"transport\":\"inprocess\"",
         "\"threads\":1",
         "\"threads\":2",
-        "\"throughput\":",
-        "\"p50_ns\":",
-        "\"p99_ns\":",
-        "\"hit_rate\":",
-        "\"evictions\":",
         "\"digest\":\"",
-        "\"speedup\":{",
-        "\"cached_median_ns\":",
-        "\"uncached_median_ns\":",
+        "\"probe\":{\"cache_hit\":true,\"matches_uncached\":true}",
     ] {
         assert!(json.contains(field), "report missing {field}: {json}");
     }
+    // The report is digests only: timing, hit-rate, speedup and
+    // nodelay fields are perfbench's business.
+    for gone in [
+        "elapsed_ms",
+        "throughput",
+        "p50_ns",
+        "p99_ns",
+        "hit_rate",
+        "evictions",
+        "speedup",
+        "nodelay",
+    ] {
+        assert!(!json.contains(gone), "report still carries {gone}: {json}");
+    }
     // Per-thread fixed op counts: 1×60 and 2×60.
     assert_eq!(ops_of(&json), vec![60, 120], "fixed --ops counts: {json}");
-    // p50 must be a real (nonzero) log2-bucket bound once ops ran.
-    assert!(!json.contains("\"p50_ns\":0,"), "zero p50 with ops: {json}");
+}
+
+/// The `(threads, ops, digest)` triples of a bench JSON report.
+fn runs_of(json: &str) -> Vec<(u64, u64, String)> {
+    let threads = json.split("\"threads\":").skip(1).map(|rest| {
+        rest.chars()
+            .take_while(char::is_ascii_digit)
+            .collect::<String>()
+            .parse()
+            .expect("threads value")
+    });
+    threads
+        .zip(ops_of(json))
+        .zip(digests_of(json))
+        .map(|((t, o), d)| (t, o, d))
+        .collect()
+}
+
+#[test]
+fn bench_reproduces_the_committed_digests() {
+    for (workload, artifact) in [("selfjoin", "BENCH_pr5.json"), ("range", "BENCH_pr7.json")] {
+        let path = format!("{}/{artifact}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed bench artifact");
+        let out = histctl(&[
+            "bench",
+            "--workload",
+            workload,
+            "--threads",
+            "1,2,4,8",
+            "--ops",
+            "2000",
+            "--seed",
+            "1",
+            "--json",
+        ]);
+        assert!(
+            out.status.success(),
+            "bench failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let fresh = runs_of(&String::from_utf8_lossy(&out.stdout));
+        assert_eq!(fresh.len(), 4, "one run per thread count: {fresh:?}");
+        assert_eq!(
+            fresh,
+            runs_of(&committed),
+            "{workload} digests must equal {artifact}'s"
+        );
+    }
 }
 
 #[test]
@@ -492,7 +545,7 @@ fn bench_digest_is_identical_across_reruns_with_one_seed() {
 }
 
 #[test]
-fn bench_writes_the_report_file_and_summarizes_speedup() {
+fn bench_writes_the_report_file_and_summarizes_the_cache_probe() {
     let path = scratch("bench_out.json");
     let out = histctl(&[
         "bench",
@@ -512,10 +565,13 @@ fn bench_writes_the_report_file_and_summarizes_speedup() {
     );
     // Human summary on stdout, full JSON in the file.
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("single lookup"), "summary: {stdout}");
+    assert!(
+        stdout.contains("cache probe: repeat hit true, bits and trail equal uncached true"),
+        "summary: {stdout}"
+    );
     let json = std::fs::read_to_string(&path).expect("report file");
     assert!(
-        json.starts_with("{\"schema\":\"histctl-bench-v1\""),
+        json.starts_with("{\"schema\":\"histctl-bench-v2\""),
         "{json}"
     );
     assert!(
@@ -534,6 +590,14 @@ fn bench_rejects_unknown_workloads_and_zero_threads() {
     );
     let zero = histctl(&["bench", "--threads", "0", "--ops", "1"]);
     assert!(!zero.status.success(), "zero threads must exit nonzero");
+    // A stale wall-clock command line fails instead of silently running
+    // the default op count.
+    let stale = histctl(&["bench", "--duration-ms", "500"]);
+    assert!(!stale.status.success(), "--duration-ms must exit nonzero");
+    assert!(
+        String::from_utf8_lossy(&stale.stderr).contains("--ops"),
+        "the error names the replacement flag: {stale:?}"
+    );
 }
 
 /// The sequence of `"event":"..."` names in a trace dump, in order.
@@ -696,7 +760,7 @@ fn any_command_dumps_the_recorder_via_trace_out() {
     );
     // The bench report still owns stdout; the dump summary goes to stderr.
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("\"schema\":\"histctl-bench-v1\""),
+        String::from_utf8_lossy(&out.stdout).contains("\"schema\":\"histctl-bench-v2\""),
         "bench JSON stays on stdout"
     );
     assert!(
