@@ -171,19 +171,6 @@ impl ColumnStats<'_> {
     }
 }
 
-/// The [`StatsUse`] target string for one filter lookup. Equality-shaped
-/// filters keep the bare `table.column` form the estimator has always
-/// reported (pinning those trails bit-for-bit); range-shaped filters
-/// name the full predicate they were estimated with, so a trail entry
-/// says exactly what the interpolation answered.
-pub(crate) fn filter_target(f: &FilterPredicate) -> String {
-    if f.op.is_range_shaped() {
-        f.to_string()
-    } else {
-        f.column.to_string()
-    }
-}
-
 /// The options [`Engine::estimate_pipeline`] runs one estimate with:
 /// whether it uses the cache, and whether it collects provenance (which
 /// reports the cache outcome, so only the cached path has it).
@@ -711,10 +698,7 @@ impl Engine {
         c: &ColumnRef,
     ) -> Result<ColumnStats<'a>> {
         let rows = self.relation(&c.table)?.num_rows() as f64;
-        let recorded = self
-            .columns
-            .get(c.table.as_str())
-            .and_then(|columns| columns.get(c.column.as_str()));
+        let recorded = self.column_record(c);
         let unrecorded;
         let record = match recorded {
             Some(record) => record,
@@ -724,7 +708,7 @@ impl Engine {
             }
         };
         let key = &record.key;
-        let hist = snap.get(key).ok();
+        let hist = snap.lookup(key);
         let domain = recorded
             .map(|r| r.domain.as_slice())
             .filter(|d| !d.is_empty());
@@ -765,6 +749,29 @@ impl Engine {
             domain,
             rows,
         })
+    }
+
+    /// What ANALYZE recorded about column `c`, if it has been analyzed.
+    fn column_record(&self, c: &ColumnRef) -> Option<&ColumnRecord> {
+        self.columns
+            .get(c.table.as_str())
+            .and_then(|columns| columns.get(c.column.as_str()))
+    }
+
+    /// The [`StatsUse`] target for one filter lookup. Equality-shaped
+    /// filters keep the bare `table.column` form the estimator has
+    /// always reported (pinning those trails bit-for-bit), shared from
+    /// the column's record when ANALYZE made one; range-shaped filters
+    /// name the full predicate they were estimated with, so a trail
+    /// entry says exactly what the interpolation answered.
+    pub(crate) fn filter_target(&self, f: &FilterPredicate) -> Arc<str> {
+        if f.op.is_range_shaped() {
+            return Arc::from(f.to_string());
+        }
+        match self.column_record(&f.column) {
+            Some(record) => Arc::clone(&record.label),
+            None => Arc::from(f.column.to_string()),
+        }
     }
 
     /// Selectivity of one filter predicate and the rung that answered.
@@ -931,7 +938,7 @@ impl Engine {
             let (sel, rung, tuned) = self.filter_selectivity(snap, f)?;
             estimate *= sel;
             self.obs
-                .record_stats_use(&mut sources, filter_target(f), rung, tuned);
+                .record_stats_use(&mut sources, self.filter_target(f), rung, tuned);
         }
         // Join selectivities.
         for j in &query.joins {

@@ -9,7 +9,7 @@
 
 use crate::ast::{FilterPredicate, JoinPredicate, Query};
 use crate::cache::fingerprint;
-use crate::engine::{filter_target, Engine};
+use crate::engine::Engine;
 use crate::error::{EngineError, Result};
 use crate::ladder::{EstimateRung, StatsUse};
 use crate::provenance::{ProvenanceRecord, StageTiming};
@@ -205,7 +205,7 @@ impl Engine {
                 let (sel, rung, tuned) = self.filter_selectivity(&snap, f)?;
                 est *= sel;
                 self.obs
-                    .record_stats_use(&mut stats_sources, filter_target(f), rung, tuned);
+                    .record_stats_use(&mut stats_sources, self.filter_target(f), rung, tuned);
             }
             steps.push(PlanStep {
                 description: if filters.is_empty() {

@@ -352,17 +352,25 @@ impl CatalogSnapshot {
 
     /// Fetches a histogram by reference — no clone, no lock.
     pub fn get(&self, key: &StatKey) -> Result<&StoredHistogram> {
+        self.lookup(key)
+            .ok_or_else(|| StoreError::MissingStatistics { key: key.display() })
+    }
+
+    /// [`CatalogSnapshot::get`] for callers that treat a missing entry
+    /// as an answer rather than an error: the same hit, stale and miss
+    /// counts, and no error message formatted for a miss.
+    pub fn lookup(&self, key: &StatKey) -> Option<&StoredHistogram> {
         match self.entries.get(key) {
             Some(e) => {
                 get_counters().hit.inc();
                 if self.version_of(&key.relation) > e.built_at_version {
                     get_counters().stale.inc();
                 }
-                Ok(&e.histogram)
+                Some(&e.histogram)
             }
             None => {
                 get_counters().miss.inc();
-                Err(StoreError::MissingStatistics { key: key.display() })
+                None
             }
         }
     }
@@ -928,6 +936,27 @@ mod tests {
         let stored = StoredHistogram::from_histogram(&values, &hist).unwrap();
         // 4 buckets (3 singletons + pool) + 3 listed values.
         assert_eq!(stored.storage_entries(), 4 + 3);
+    }
+
+    #[test]
+    fn lookup_of_a_missing_entry_still_counts_a_miss() {
+        let catalog = Catalog::new();
+        let rel =
+            relation_from_frequency_set("r", "a", &FrequencySet::new(vec![5, 3, 1]), 1).unwrap();
+        let present = catalog.analyze_end_biased(&rel, "a", 2).unwrap();
+        let absent = StatKey::new("r", &["b"]);
+        let snap = catalog.read_snapshot();
+        let misses = || obs::counter("catalog_get_miss_total").get();
+        let before = misses();
+        assert!(snap.lookup(&absent).is_none());
+        assert!(snap.lookup(&absent).is_none());
+        assert!(snap.get(&absent).is_err());
+        assert!(
+            misses() >= before + 3,
+            "misses counted: {before} -> {}",
+            misses()
+        );
+        assert_eq!(snap.lookup(&present), Some(snap.get(&present).unwrap()));
     }
 
     #[test]
