@@ -5,16 +5,14 @@
 //! access the frequency counter corresponding to each data value."
 //!
 //! A hash table is needed only when the domain is wide. The counting
-//! kernels ([`count_frequencies`], [`count_pair_frequencies`]) first
-//! take each column's min and max in one pass. When the counters for
-//! the whole span `max − min + 1` fit in the scanned column's own size
-//! (`rows × 8` bytes), they count into a dense array indexed by
-//! `value − min` and read the distinct values off it in ascending
-//! order, with no hashing and no sort. One column counts into four
-//! interleaved u64 lanes, so `4 × span ≤ rows`; a pair counts
-//! into one dense matrix, so `span₁ × span₂ ≤ rows`. Wider domains, and
-//! spans that overflow `u64` (a column holding both 0 and `u64::MAX`),
-//! keep the FxHash counter and a sort.
+//! kernel [`count_frequencies`] first takes the column's min and max in
+//! one pass. When one u64 counter per value of the span
+//! `max − min + 1` fits in the scanned column's own size (`span ≤ rows`),
+//! it counts into a dense array indexed by `value − min` and reads the
+//! distinct values off it in ascending order, with no hashing and no
+//! sort. Wider domains, and spans that overflow `u64` (a column holding
+//! both 0 and `u64::MAX`), keep the FxHash counter and a sort. Pair
+//! counts ([`frequency_matrix_table`]) always use the hash counter.
 //!
 //! One-column statistics produce a [`FrequencyTable`] (value → frequency);
 //! two-column statistics produce a [`FrequencyMatrixTable`] whose dense
@@ -108,12 +106,6 @@ pub struct FrequencyMatrixTable {
     pub matrix: FreqMatrix,
 }
 
-/// Interleaved counter lanes of the dense one-column count: row `i`
-/// counts into lane `i % LANES`. A skewed column repeats its hot values
-/// in consecutive rows, and increments of one address serialise; the
-/// lanes spread them over `LANES` addresses.
-const LANES: usize = 4;
-
 /// Algorithm *Matrix* for one attribute: a single instrumented scan of
 /// `column`, counted by [`count_frequencies`].
 pub fn frequency_table(relation: &Relation, column: &str) -> Result<FrequencyTable> {
@@ -133,88 +125,28 @@ pub fn count_frequencies(col: &[u64]) -> FrequencyTable {
     }
 }
 
-/// Algorithm *Matrix* for an attribute pair: a single scan counting pair
-/// occurrences, then densification into the paper's frequency matrix.
-///
-/// Pairs of distinct values that never co-occur get frequency 0, exactly
-/// as in the dense matrix formulation of §2.2.
-pub fn frequency_matrix_table(
-    relation: &Relation,
-    first: &str,
-    second: &str,
-) -> Result<FrequencyMatrixTable> {
-    let _span = obs::span("frequency_matrix_table");
-    let a = relation.column_by_name(first)?;
-    let b = relation.column_by_name(second)?;
-    obs::counter("relstore_scan_rows_total").add(a.len() as u64);
-    Ok(count_pair_frequencies(a, b))
-}
-
-/// The pair frequencies of the rows `(a[i], b[i])`, with no
-/// instrumentation: one dense matrix over both spans when it fits (see
-/// the module docs), the FxHash counter otherwise. Both give the same
-/// table. The columns must have equal length, as a relation's do.
-pub fn count_pair_frequencies(a: &[u64], b: &[u64]) -> FrequencyMatrixTable {
-    debug_assert_eq!(a.len(), b.len(), "columns of one relation");
-    match dense_pair_ranges(a, b) {
-        Some((x, y)) => count_pairs_dense(a, b, x, y),
-        None => count_pairs_hashed(a, b),
-    }
-}
-
-/// `(min, max − min + 1)` of `col`, in one pass. `None` for an empty
-/// column, and when the span overflows `u64`.
-fn value_span(col: &[u64]) -> Option<(u64, u64)> {
+/// `(min, max − min + 1)` of `col`, found in one pass, when that span is
+/// at most `col.len()`: one u64 counter per value of the span then
+/// takes no more memory than the column. `None` for an empty column, a
+/// wider span, and a span that overflows `u64`.
+fn dense_range(col: &[u64]) -> Option<(u64, usize)> {
     let &first = col.first()?;
     let (min, max) = col
         .iter()
         .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    Some((min, (max - min).checked_add(1)?))
-}
-
-/// Whether `counters` u64 counters (`None`: overflowed) take no more
-/// memory than a column of `rows` u64 values.
-fn fits_column(counters: Option<u64>, rows: usize) -> bool {
-    counters.is_some_and(|c| c <= rows as u64)
-}
-
-/// `(min, span)` of `col` when its [`LANES`] dense lanes fit.
-fn dense_range(col: &[u64]) -> Option<(u64, usize)> {
-    let (min, span) = value_span(col)?;
-    fits_column(span.checked_mul(LANES as u64), col.len()).then_some((min, span as usize))
-}
-
-/// `(min, span)` of both columns when their dense pair matrix fits.
-fn dense_pair_ranges(a: &[u64], b: &[u64]) -> Option<((u64, usize), (u64, usize))> {
-    let (min_x, span_x) = value_span(a)?;
-    let (min_y, span_y) = value_span(b)?;
-    fits_column(span_x.checked_mul(span_y), a.len())
-        .then_some(((min_x, span_x as usize), (min_y, span_y as usize)))
+    let span = (max - min).checked_add(1)?;
+    (span <= col.len() as u64).then_some((min, span as usize))
 }
 
 /// Counts `col`, whose values all lie in `min..min + span`, into
-/// [`LANES`] interleaved u64 lanes (`counts[(v − min) · LANES + lane]`),
-/// then sums each value's lanes in ascending value order.
+/// `counts[v − min]`, then reads the nonzero counts off in ascending
+/// value order.
 fn count_dense(col: &[u64], min: u64, span: usize) -> FrequencyTable {
-    let mut counts = vec![0u64; span * LANES];
-    let mut rows = col.chunks_exact(LANES);
-    for chunk in &mut rows {
-        for (lane, &v) in chunk.iter().enumerate() {
-            counts[(v - min) as usize * LANES + lane] += 1;
-        }
+    let mut counts = vec![0u64; span];
+    for &v in col {
+        counts[(v - min) as usize] += 1;
     }
-    for &v in rows.remainder() {
-        counts[(v - min) as usize * LANES] += 1;
-    }
-    let mut values = Vec::new();
-    let mut freqs = Vec::new();
-    for (offset, lanes) in (0..).zip(counts.chunks_exact(LANES)) {
-        let freq: u64 = lanes.iter().sum();
-        if freq > 0 {
-            values.push(min + offset);
-            freqs.push(freq);
-        }
-    }
+    let (values, freqs) = (min..).zip(counts).filter(|&(_, freq)| freq > 0).unzip();
     FrequencyTable { values, freqs }
 }
 
@@ -231,49 +163,20 @@ fn count_hashed(col: &[u64]) -> FrequencyTable {
     FrequencyTable { values, freqs }
 }
 
-/// Counts the pairs into one dense `span_x × span_y` matrix, then keeps
-/// the rows and columns whose sums are nonzero: exactly the distinct
-/// values of each attribute, in ascending order.
-fn count_pairs_dense(
-    a: &[u64],
-    b: &[u64],
-    (min_x, span_x): (u64, usize),
-    (min_y, span_y): (u64, usize),
-) -> FrequencyMatrixTable {
-    let mut cells = vec![0u64; span_x * span_y];
-    for (&x, &y) in a.iter().zip(b) {
-        cells[(x - min_x) as usize * span_y + (y - min_y) as usize] += 1;
-    }
-    let mut live_cols = vec![false; span_y];
-    let mut live_rows = Vec::new();
-    for (k, row) in cells.chunks_exact(span_y).enumerate() {
-        let mut live = false;
-        for (seen, &c) in live_cols.iter_mut().zip(row) {
-            *seen |= c > 0;
-            live |= c > 0;
-        }
-        if live {
-            live_rows.push(k);
-        }
-    }
-    let live_cols: Vec<usize> = (0..span_y).filter(|&l| live_cols[l]).collect();
-    let mut data = Vec::with_capacity(live_rows.len() * live_cols.len());
-    for &k in &live_rows {
-        let row = &cells[k * span_y..][..span_y];
-        data.extend(live_cols.iter().map(|&l| row[l]));
-    }
-    let matrix = FreqMatrix::from_rows(live_rows.len(), live_cols.len(), data)
-        .expect("one cell per live row and column");
-    FrequencyMatrixTable {
-        row_values: live_rows.iter().map(|&k| min_x + k as u64).collect(),
-        col_values: live_cols.iter().map(|&l| min_y + l as u64).collect(),
-        matrix,
-    }
-}
-
-/// The hash-table pair counter, then the sorted dictionaries of each
-/// attribute and an index map per attribute to place each pair.
-fn count_pairs_hashed(a: &[u64], b: &[u64]) -> FrequencyMatrixTable {
+/// Algorithm *Matrix* for an attribute pair: a single scan counting pair
+/// occurrences, then densification into the paper's frequency matrix.
+///
+/// Pairs of distinct values that never co-occur get frequency 0, exactly
+/// as in the dense matrix formulation of §2.2.
+pub fn frequency_matrix_table(
+    relation: &Relation,
+    first: &str,
+    second: &str,
+) -> Result<FrequencyMatrixTable> {
+    let _span = obs::span("frequency_matrix_table");
+    let a = relation.column_by_name(first)?;
+    let b = relation.column_by_name(second)?;
+    obs::counter("relstore_scan_rows_total").add(a.len() as u64);
     let mut counts: FxHashMap<(u64, u64), u64> = fx_map_with_capacity(a.len().min(1 << 16));
     for (&x, &y) in a.iter().zip(b) {
         *counts.entry((x, y)).or_insert(0) += 1;
@@ -301,11 +204,11 @@ fn count_pairs_hashed(a: &[u64], b: &[u64]) -> FrequencyMatrixTable {
     for ((x, y), c) in counts {
         *matrix.get_mut(row_index[&x], col_index[&y]) = c;
     }
-    FrequencyMatrixTable {
+    Ok(FrequencyMatrixTable {
         row_values,
         col_values,
         matrix,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -395,26 +298,14 @@ mod tests {
     /// Counts `col` both ways and checks the tables are equal, through
     /// the public kernel and, when it applies, the dense path itself.
     /// Returns whether the kernel took the dense path.
-    fn one_column_paths_agree(col: &[u64]) -> bool {
+    fn paths_agree(col: &[u64]) -> bool {
         let hashed = count_hashed(col);
         assert_eq!(count_frequencies(col), hashed);
         let Some((min, span)) = dense_range(col) else {
             return false;
         };
-        assert!(span * LANES <= col.len(), "lanes outgrow the column");
+        assert!(span <= col.len(), "counters outgrow the column");
         assert_eq!(count_dense(col, min, span), hashed);
-        true
-    }
-
-    /// [`one_column_paths_agree`] for the pair counter.
-    fn pair_paths_agree(a: &[u64], b: &[u64]) -> bool {
-        let hashed = count_pairs_hashed(a, b);
-        assert_eq!(count_pair_frequencies(a, b), hashed);
-        let Some((x, y)) = dense_pair_ranges(a, b) else {
-            return false;
-        };
-        assert!(x.1 * y.1 <= a.len(), "matrix outgrows the column");
-        assert_eq!(count_pairs_dense(a, b, x, y), hashed);
         true
     }
 
@@ -429,58 +320,45 @@ mod tests {
 
     #[test]
     fn empty_columns_take_the_hash_path() {
-        assert!(!one_column_paths_agree(&[]));
-        assert!(!pair_paths_agree(&[], &[]));
+        assert!(!paths_agree(&[]));
         assert_eq!(count_frequencies(&[]).num_values(), 0);
-        assert_eq!(count_pair_frequencies(&[], &[]).matrix.len(), 0);
     }
 
     #[test]
-    fn single_value_columns_go_dense_once_the_lanes_fit() {
-        for rows in 1..=12 {
-            let col = vec![u64::MAX - 3; rows];
-            assert_eq!(one_column_paths_agree(&col), rows >= LANES, "{rows} rows");
-            assert!(pair_paths_agree(&col, &col));
+    fn single_value_columns_count_densely() {
+        for rows in 1..=5 {
+            assert!(paths_agree(&vec![u64::MAX - 3; rows]), "{rows} rows");
         }
     }
 
     #[test]
     fn a_span_overflowing_u64_falls_back_to_hashing() {
         let col = [0, u64::MAX, 0, 7, u64::MAX, 0, 0, 0];
-        assert_eq!(value_span(&col), None);
-        assert!(!one_column_paths_agree(&col));
-        assert!(!pair_paths_agree(&col, &[1; 8]));
-        assert!(!pair_paths_agree(&[1; 8], &col));
+        assert!(!paths_agree(&col));
         let t = count_frequencies(&col);
         assert_eq!(t.values, vec![0, 7, u64::MAX]);
         assert_eq!(t.freqs, vec![5, 1, 2]);
         // The widest span that does not overflow still cannot fit.
-        assert!(!one_column_paths_agree(&[0, u64::MAX - 1]));
+        assert!(!paths_agree(&[0, u64::MAX - 1]));
     }
 
     #[test]
     fn the_bound_is_the_columns_own_size() {
         let fill: Vec<u64> = (0..4096).map(|i| i * 2_654_435_761 % 977).collect();
-        for rows in [4usize, 5, 64, 1000, 4096] {
-            let widest = (rows / LANES) as u64;
-            assert!(one_column_paths_agree(&spanning(9, widest, rows, &fill)));
-            let too_wide = spanning(9, widest + 1, rows, &fill);
-            assert!(!one_column_paths_agree(&too_wide));
+        for rows in [2usize, 3, 64, 1000, 4096] {
+            assert!(paths_agree(&spanning(9, rows as u64, rows, &fill)));
+            assert!(!paths_agree(&spanning(9, rows as u64 + 1, rows, &fill)));
         }
-        // 8 × 8 = 64 cells for 64 rows fits; 8 × 9 does not.
-        let x = spanning(3, 8, 64, &fill);
-        assert!(pair_paths_agree(&x, &spanning(100, 8, 64, &fill[7..])));
-        assert!(!pair_paths_agree(&x, &spanning(100, 9, 64, &fill[7..])));
     }
 
     proptest! {
         #[test]
         fn compact_columns_count_densely_and_agree(
             base in prop_oneof![Just(0u64), any::<u64>().prop_map(|b| b >> 1)],
-            col in proptest::collection::vec(0u64..40, 160..600),
+            col in proptest::collection::vec(0u64..40, 40..600),
         ) {
             let col: Vec<u64> = col.iter().map(|v| base + v).collect();
-            prop_assert!(one_column_paths_agree(&col));
+            prop_assert!(paths_agree(&col));
         }
 
         #[test]
@@ -488,29 +366,8 @@ mod tests {
             col in proptest::collection::vec(0u64..1_000_000, 1..200),
         ) {
             let mut col = col;
-            col.push(1_000_000 + 4 * col.len() as u64);
-            prop_assert!(!one_column_paths_agree(&col));
-        }
-
-        #[test]
-        fn compact_pairs_count_densely_and_agree(
-            base in any::<u64>().prop_map(|b| b >> 1),
-            pairs in proptest::collection::vec((0u64..12, 0u64..12), 144..400),
-        ) {
-            let (a, b): (Vec<u64>, Vec<u64>) =
-                pairs.into_iter().map(|(x, y)| (base + x, y)).unzip();
-            prop_assert!(pair_paths_agree(&a, &b));
-        }
-
-        #[test]
-        fn sparse_pairs_hash_and_agree(
-            pairs in proptest::collection::vec((0u64..12, 0u64..1_000_000), 1..200),
-        ) {
-            let (mut a, mut b): (Vec<u64>, Vec<u64>) = pairs.into_iter().unzip();
-            a.push(0);
-            b.push(u64::MAX);
-            prop_assert!(!pair_paths_agree(&a, &b));
-            prop_assert!(!pair_paths_agree(&b, &a));
+            col.push(1_000_000 + col.len() as u64);
+            prop_assert!(!paths_agree(&col));
         }
     }
 
