@@ -14,6 +14,16 @@
 //!   order and the reported [`StatsUse`] sequence follows the same
 //!   order, so two spellings of one query are distinct cache entries
 //!   rather than a source of bit-level divergence.
+//!
+//!   The fingerprint is std's SipHash (`DefaultHasher::new`, whose
+//!   fixed keys make fingerprints and shards repeat across runs), not
+//!   the cheaper FxHash, because a hit trusts it:
+//!   [`EstimationCache::get`] compares 64-bit fingerprints, never the
+//!   queries themselves. Fx's multiply-rotate mix can be inverted one
+//!   word at a time, so a client could choose two literals in closed
+//!   form that make its query collide with another, and be served that
+//!   query's estimate. Each shard's map is keyed by the fingerprint,
+//!   which is already a uniform hash, so the map itself hashes with Fx.
 //! * The **epoch** comes from the [`CatalogSnapshot`] the estimate is
 //!   computed against. Every catalog mutation bumps the epoch, so an
 //!   entry from an older catalog state simply never matches again —
@@ -36,8 +46,8 @@
 use crate::ast::Query;
 use crate::ladder::StatsUse;
 use parking_lot::Mutex;
+use relstore::fxhash::FxHashMap;
 use relstore::CatalogSnapshot;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -107,7 +117,7 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<u64, Slot>,
+    map: FxHashMap<u64, Slot>,
     /// Monotone access clock driving LRU eviction.
     tick: u64,
 }

@@ -374,9 +374,8 @@ impl Engine {
         if query.tables.is_empty() {
             return Err(EngineError::InvalidJoinGraph("no tables".into()));
         }
-        let in_from: HashSet<&String> = query.tables.iter().collect();
         let check_col = |c: &ColumnRef| -> Result<()> {
-            if !in_from.contains(&c.table) {
+            if !query.tables.contains(&c.table) {
                 return Err(EngineError::UnknownRelation(format!(
                     "{} (not in FROM clause)",
                     c.table

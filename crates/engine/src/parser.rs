@@ -21,18 +21,18 @@ use crate::ast::{ColumnRef, FilterOp, FilterPredicate, JoinPredicate, Query};
 use crate::error::{EngineError, Result};
 use crate::token::{tokenize, Token};
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -46,9 +46,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &Token) -> Result<()> {
+    fn expect(&mut self, want: Token<'_>) -> Result<()> {
         match self.next() {
-            Some(ref t) if t == want => Ok(()),
+            Some(t) if t == want => Ok(()),
             Some(t) => Err(self.error(format!(
                 "expected {}, found {}",
                 want.describe(),
@@ -60,16 +60,18 @@ impl Parser {
 
     fn expect_keyword(&mut self, word: &str) -> Result<()> {
         match self.next() {
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case(word) => Ok(()),
+            Some(t) if t.is_keyword(word) => Ok(()),
             Some(t) => Err(self.error(format!("expected {word}, found {}", t.describe()))),
             None => Err(self.error(format!("expected {word}, found end of input"))),
         }
     }
 
     fn at_keyword(&self, word: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case(word))
+        self.peek().is_some_and(|t| t.is_keyword(word))
     }
 
+    /// A name the returned AST owns: the one place the parser copies
+    /// text out of the input.
     fn identifier(&mut self, what: &str) -> Result<String> {
         match self.next() {
             Some(Token::Ident(s)) => {
@@ -81,7 +83,7 @@ impl Parser {
                 if RESERVED.iter().any(|r| s.eq_ignore_ascii_case(r)) {
                     Err(self.error(format!("'{s}' is a reserved word, expected {what}")))
                 } else {
-                    Ok(s)
+                    Ok(s.to_owned())
                 }
             }
             Some(t) => Err(self.error(format!("expected {what}, found {}", t.describe()))),
@@ -99,7 +101,7 @@ impl Parser {
 
     fn column_ref(&mut self) -> Result<ColumnRef> {
         let table = self.identifier("a table name")?;
-        self.expect(&Token::Dot)?;
+        self.expect(Token::Dot)?;
         let column = self.identifier("a column name")?;
         Ok(ColumnRef { table, column })
     }
@@ -107,12 +109,12 @@ impl Parser {
     /// `ABS ( colref - colref ) <= number` — a band join. The leading
     /// ABS keyword has already been consumed.
     fn band_join(&mut self, query: &mut Query) -> Result<()> {
-        self.expect(&Token::LParen)?;
+        self.expect(Token::LParen)?;
         let left = self.column_ref()?;
-        self.expect(&Token::Minus)?;
+        self.expect(Token::Minus)?;
         let right = self.column_ref()?;
-        self.expect(&Token::RParen)?;
-        self.expect(&Token::Le)?;
+        self.expect(Token::RParen)?;
+        self.expect(Token::Le)?;
         let band = self.number()?;
         query.joins.push(JoinPredicate {
             left,
@@ -171,21 +173,22 @@ impl Parser {
                 query.filters.push(FilterPredicate { column: left, op });
                 Ok(())
             }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("in") => {
-                self.expect(&Token::LParen)?;
-                let mut values = vec![self.number()?];
-                while self.peek() == Some(&Token::Comma) {
+            Some(t) if t.is_keyword("in") => {
+                self.expect(Token::LParen)?;
+                let mut values = Vec::new();
+                values.push(self.number()?);
+                while self.peek() == Some(Token::Comma) {
                     self.next();
                     values.push(self.number()?);
                 }
-                self.expect(&Token::RParen)?;
+                self.expect(Token::RParen)?;
                 query.filters.push(FilterPredicate {
                     column: left,
                     op: FilterOp::In(values),
                 });
                 Ok(())
             }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("between") => {
+            Some(t) if t.is_keyword("between") => {
                 let lo = self.number()?;
                 self.expect_keyword("and")?;
                 let hi = self.number()?;
@@ -213,17 +216,20 @@ pub fn parse(input: &str) -> Result<Query> {
     let mut p = Parser { tokens, pos: 0 };
     p.expect_keyword("select")?;
     p.expect_keyword("count")?;
-    p.expect(&Token::LParen)?;
-    p.expect(&Token::Star)?;
-    p.expect(&Token::RParen)?;
+    p.expect(Token::LParen)?;
+    p.expect(Token::Star)?;
+    p.expect(Token::RParen)?;
     p.expect_keyword("from")?;
 
+    // The first push reserves room for four tables; `vec![first]` would
+    // reallocate at the second.
     let mut query = Query {
-        tables: vec![p.identifier("a table name")?],
+        tables: Vec::new(),
         joins: Vec::new(),
         filters: Vec::new(),
     };
-    while p.peek() == Some(&Token::Comma) {
+    query.tables.push(p.identifier("a table name")?);
+    while p.peek() == Some(Token::Comma) {
         p.next();
         query.tables.push(p.identifier("a table name")?);
     }

@@ -100,3 +100,21 @@ fn malformed_input_reports_pinned_error_text() {
         .collect();
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
+
+#[test]
+fn non_ascii_input_names_the_whole_character() {
+    // The position stays a byte offset; the message names the decoded
+    // character, not the first byte of its UTF-8 encoding.
+    assert_eq!(
+        error_text("SELECT COUNT(*) FROM tà"),
+        "lex error at byte 22: unexpected character 'à'"
+    );
+    assert_eq!(
+        error_text("SELECT COUNT(*) FROM t WHERE t.é = 1"),
+        "lex error at byte 31: unexpected character 'é'"
+    );
+    assert_eq!(
+        error_text("SELECT COUNT(*) FROM t WHERE t.a = 1 → 2"),
+        "lex error at byte 37: unexpected character '→'"
+    );
+}

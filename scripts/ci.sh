@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally and offline:
-#   formatting, lints-as-errors, docs-as-errors, the builder-registry
-#   dispatch guard, release build, and the test suite.
+#   formatting, lints-as-errors, docs-as-errors, a compile check of the
+#   benchmark package, the builder-registry dispatch guard, release
+#   build, and the test suite.
 # The release build + `cargo test -q` pair is the tier-1 gate; fmt,
 # clippy, and rustdoc keep the tree warning-free.
 set -euo pipefail
@@ -19,6 +20,13 @@ echo "==> cargo doc --no-deps (warnings denied, own crates only)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p histograms-repro -p freqdist -p vopt-hist -p relstore \
   -p query -p engine -p experiments -p obs -p hist-bench -p netserve
+
+echo "==> cargo check perfbench (the benchmark against the workspace's public API)"
+# perfbench is a package of its own that the workspace build never
+# compiles; checking it here turns a public-API change that breaks the
+# benchmark into a CI failure. --locked fails instead of rewriting
+# perfbench/Cargo.lock.
+cargo check --offline --locked --quiet --manifest-path perfbench/Cargo.toml
 
 echo "==> builder-registry dispatch guard"
 # Histogram-constructor dispatch must live in the registry alone: a
